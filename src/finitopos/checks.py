@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 
 from .budget import Budget, ensure_budget
-from .errors import ShapeMismatch
+from .errors import NonUnique, ShapeMismatch
 from .fincat import (
     FinCategory,
     FinFunctor,
@@ -48,6 +48,17 @@ def _is_pullback_square(C: FinCategory, apex: str, legs: tuple, cospan: tuple):
     return True, None
 
 
+def _product_mediator(C: FinCategory, src: str, product: tuple, m1: str, m2: str) -> str:
+    """The unique h: src -> Q with rho1.h = m1 and rho2.h = m2, for the product
+    cone product = (Q, rho1, rho2); raises NonUnique unless exactly one exists."""
+    Q, rho1, rho2 = product
+    cands = [h for h in C.hom(src, Q)
+             if C.compose(rho1, h) == m1 and C.compose(rho2, h) == m2]
+    if len(cands) != 1:
+        raise NonUnique(f"{len(cands)} mediators {src} -> {Q} into the product")
+    return cands[0]
+
+
 def _category_square_witness(R: Reflection, square: dict, analysis: MediatorAnalysis,
                              f_image_leg: str, l_image: dict) -> WitnessSquare:
     from .report import reflection_to_json
@@ -78,19 +89,12 @@ def check_frobenius(R: Reflection, I: str, A_obj: str) -> Verdict:
         return Verdict("frobenius", INCONCLUSIVE, detail=f"MissingProduct({I}, {la}) in A",
                        stats={"I": I, "A_obj": A_obj})
     P, pi1, pi2 = pb
-    Q, rho1, rho2 = qa
-    pi1_hat = R.transpose(P, I, pi1)
     lp = R.L.obj_map[P]
-    cands = [
-        h for h in A.hom(lp, Q)
-        if A.compose(rho1, h) == pi1_hat and A.compose(rho2, h) == R.L.mor_map[pi2]
-    ]
-    assert len(cands) == 1, "product universal property broken"
-    m = cands[0]
+    m = _product_mediator(A, lp, qa, R.transpose(P, I, pi1), R.L.mor_map[pi2])
     if find_inverse(A, m) is None:
         return Verdict("frobenius", FAIL,
                        witness={"I": I, "A_obj": A_obj, "canonical_map": m,
-                                "dom": lp, "cod": Q},
+                                "dom": lp, "cod": qa[0]},
                        stats={"I": I, "A_obj": A_obj})
     return Verdict("frobenius", PASS, stats={"I": I, "A_obj": A_obj, "canonical_map": m})
 
@@ -207,14 +211,7 @@ def check_exponential_ideal(R: Reflection, bound: int | None = None) -> Verdict:
             continue
         prod_tested += 1
         P, pi1, pi2 = pb
-        Q, rho1, rho2 = qa
-        lp = R.L.obj_map[P]
-        cands = [
-            h for h in A.hom(lp, Q)
-            if A.compose(rho1, h) == R.L.mor_map[pi1]
-            and A.compose(rho2, h) == R.L.mor_map[pi2]
-        ]
-        m = cands[0]
+        m = _product_mediator(A, R.L.obj_map[P], qa, R.L.mor_map[pi1], R.L.mor_map[pi2])
         if find_inverse(A, m) is None:
             prod_fail = {"pair": (X, Y), "canonical_map": m}
             break

@@ -15,6 +15,7 @@ from pathlib import Path
 from . import checks, dsl, fixtures, graphpre, kan, report
 from .budget import Budget
 from .errors import BudgetExceeded, FinitoposError, InvalidStructure, NonUnique
+from .fincat import check_adjunction
 from .presheaf import dependent_product, exponential, yoneda
 from .verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS, Verdict
 
@@ -35,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, out=True):
         sp.add_argument("--budget", type=int, default=None,
                         help="enumeration step budget (default from FINITOPOS_BUDGET or 10^6)")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="worker count; execution is deterministic and currently sequential")
         sp.add_argument("--expect", choices=["pass", "fail", "found", "not-found"],
                         default=None, help="assert the outcome; mismatches exit 1")
         if out:
@@ -88,8 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-edges", type=int, default=None)
     sp.add_argument("--bound", type=int, default=None,
                     help="preorder size bound (pi/sieve searches)")
-    sp.add_argument("--fast", action="store_true",
-                    help="stop at the first witness (the ordered search already does)")
     common(sp)
 
     sp = sub.add_parser("replay", help="re-verify a witness report from its own data")
@@ -201,7 +198,7 @@ def cmd_validate(args) -> int:
             else:
                 fixtures.get_category(name)
             print(f"fixture {name}: OK")
-        except (KeyError, FinitoposError) as e:
+        except FinitoposError as e:
             print(f"fixture {name}: {e}", file=sys.stderr)
             problems += 1
     if checked == 0:
@@ -284,7 +281,7 @@ def cmd_check(args) -> int:
         return _emit(args, verdict, bounds={"fixture": args.fixture})
     R = fixtures.get_reflection(args.fixture)
     if which == "adjunction":
-        verdict = _adjunction_verdict(R)
+        verdict = check_adjunction(R)
     elif which == "frobenius":
         verdict = checks.check_frobenius_all(R)
     elif which == "sle":
@@ -300,18 +297,12 @@ def cmd_check(args) -> int:
                                         **({"bound": args.bound} if args.bound else {})})
 
 
-def _adjunction_verdict(R) -> Verdict:
-    from .fincat import check_adjunction
-    return check_adjunction(R)
-
-
 def cmd_search(args) -> int:
     budget = Budget(args.budget, args.which)
     if args.which == "sle-failure":
         max_v = args.max_vertices if args.max_vertices is not None else 4
         max_e = args.max_edges if args.max_edges is not None else 8
-        verdict = graphpre.find_sle_failure(max_v=max_v, max_e=max_e,
-                                            fast=args.fast, budget=budget)
+        verdict = graphpre.find_sle_failure(max_v=max_v, max_e=max_e, budget=budget)
         bounds = {"max_vertices": max_v, "max_edges": max_e}
     elif args.which == "pi-witness":
         max_n = args.bound if args.bound is not None else 3
@@ -341,7 +332,12 @@ def cmd_replay(args) -> int:
     if witness is None:
         verdict = Verdict("witness-replay", PASS, detail="report valid; no witness to replay")
         return _emit(args, verdict, bounds=rep.get("bounds", {}))
-    verdict = checks.reverify(witness)
+    try:
+        verdict = checks.reverify(witness)
+    except KeyError as e:
+        raise _Usage(f"malformed witness in {args.file}: missing field {e}")
+    except (TypeError, ValueError, AttributeError) as e:
+        raise _Usage(f"malformed witness in {args.file}: {e}")
     return _emit(args, verdict, bounds=rep.get("bounds", {}))
 
 
@@ -374,9 +370,6 @@ def main(argv=None) -> int:
     except NonUnique as e:
         print(f"inconclusive: {e}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except KeyError as e:
-        print(f"error: unknown fixture {e}", file=sys.stderr)
-        return EXIT_USAGE
     except FinitoposError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

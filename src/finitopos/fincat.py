@@ -3,6 +3,12 @@
 Categories carry total composition tables.  `compose(g, f)` is g after f,
 written `g.f` throughout; identifiers are strings and every canonical order
 is lexicographic, so minimal witnesses are machine-independent.
+
+Constructors build without checking.  `build_category`, `saturate_category`
+and the `validate()` methods check, and only code that takes outside input
+calls them: the DSL resolver, the JSON readers, the fixtures and witness
+replay.  Derived categories (`opposite`, `poset_category`,
+`comma_from_object`, categories of elements) are built directly.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ class Violation:
 
 
 class FinCategory:
-    """Immutable after construction; use `validate_category` to build safely."""
+    """Immutable after construction.  The constructor does not check the
+    axioms; `validate()` (or `build_category`) does."""
 
     def __init__(self, objects, morphisms, dom, cod, identity, comp):
         self.objects = tuple(sorted(objects))
@@ -102,6 +109,12 @@ class FinCategory:
                         out.append(Violation("BrokenAssociativity", f"({h}, {g}, {f})"))
         return out
 
+    def validate(self) -> "FinCategory":
+        bad = self.violations()
+        if bad:
+            raise InvalidStructure(bad)
+        return self
+
     def encoding(self) -> tuple:
         """Structural fingerprint; equal encodings mean equal presentations."""
         return (
@@ -135,11 +148,7 @@ def validate_category(objects, morphisms, dom, cod, identity, comp):
 
 
 def build_category(objects, morphisms, dom, cod, identity, comp) -> FinCategory:
-    cat = FinCategory(objects, morphisms, dom, cod, identity, comp)
-    bad = cat.violations()
-    if bad:
-        raise InvalidStructure(bad)
-    return cat
+    return FinCategory(objects, morphisms, dom, cod, identity, comp).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +169,8 @@ def saturate_category(objects, generators, relations, bound: int = DEFAULT_MORPH
     generators: list of (name, dom, cod).  relations: list of (lhs, rhs) where
     each side is a tuple of generator names, applied right-first (g, f) = g.f;
     the empty tuple denotes an identity.  Fails loudly if the closure exceeds
-    `bound` morphisms.
+    `bound` morphisms.  A presentation is outside input (the DSL, the
+    fixtures), so the closure is validated.
     """
     gdom = {n: d for n, d, _ in generators}
     gcod = {n: c for n, _, c in generators}
@@ -324,12 +334,12 @@ def _saturate_words(objects, gdom, gcod, rels, lmax, bound):
 
 def opposite(C: FinCategory) -> FinCategory:
     comp = {(f, g): h for (g, f), h in C.comp.items()}
-    return build_category(C.objects, C.morphisms, dict(C.cod), dict(C.dom), dict(C.identity), comp)
+    return FinCategory(C.objects, C.morphisms, C.cod, C.dom, C.identity, comp)
 
 
 def terminal_category() -> FinCategory:
-    return build_category(["pt"], ["id(pt)"], {"id(pt)": "pt"}, {"id(pt)": "pt"},
-                          {"pt": "id(pt)"}, {("id(pt)", "id(pt)"): "id(pt)"})
+    return FinCategory(["pt"], ["id(pt)"], {"id(pt)": "pt"}, {"id(pt)": "pt"},
+                       {"pt": "id(pt)"}, {("id(pt)", "id(pt)"): "id(pt)"})
 
 
 def poset_category(elements, leq) -> FinCategory:
@@ -351,35 +361,7 @@ def poset_category(elements, leq) -> FinCategory:
         for y2, z in pairs:
             if y2 == y:
                 comp[(name(y, z), name(x, y))] = name(x, z)
-    return build_category(objects, morphisms, dom, cod, identity, comp)
-
-
-def slice_category(C: FinCategory, c: str) -> tuple[FinCategory, dict]:
-    """C/c: objects are morphisms into c; returns (category, obj -> underlying)."""
-    objs = [m for m in C.morphisms if C.cod[m] == c]
-    morphisms, dom, cod, identity, comp = [], {}, {}, {}, {}
-
-    def mname(h, f, g):
-        return f"{h}[{f}>{g}]"
-
-    tri = []
-    for f in objs:
-        for g in objs:
-            for h in C.hom(C.dom[f], C.dom[g]):
-                if C.compose(g, h) == f:
-                    n = mname(h, f, g)
-                    morphisms.append(n)
-                    dom[n], cod[n] = f, g
-                    tri.append((h, f, g, n))
-                    if f == g and C.is_identity(h):
-                        identity[f] = n
-    bykey = {(h, f, g): n for h, f, g, n in tri}
-    for h1, f1, g1, n1 in tri:
-        for h2, f2, g2, n2 in tri:
-            if f2 == g1:
-                comp[(n2, n1)] = bykey[(C.compose(h2, h1), f1, g2)]
-    cat = build_category(objs, morphisms, dom, cod, identity, comp)
-    return cat, {o: C.dom[o] for o in objs}
+    return FinCategory(objects, morphisms, dom, cod, identity, comp)
 
 
 def comma_from_object(a: str, L: "FinFunctor") -> tuple[FinCategory, dict]:
@@ -415,8 +397,7 @@ def comma_from_object(a: str, L: "FinFunctor") -> tuple[FinCategory, dict]:
         for b2_, o2b, o3, n2 in tri:
             if o2b == o2:
                 comp[(n2, n1)] = bykey[(L.source.compose(b2_, b1_), o1, o3)]
-    cat = build_category(objs, morphisms, dom, cod, identity, comp)
-    return cat, decode
+    return FinCategory(objs, morphisms, dom, cod, identity, comp), decode
 
 
 # ---------------------------------------------------------------------------
@@ -664,97 +645,6 @@ def _exponential_ok(C, base, exp, e, p, pi1, pi2, ev) -> bool:
             if count != 1:
                 return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# isomorphism of categories (exhaustive with degree pruning)
-
-
-def _obj_signature(C: FinCategory, x: str):
-    outs = sorted(len(C.hom(x, y)) for y in C.objects)
-    ins = sorted(len(C.hom(y, x)) for y in C.objects)
-    return (tuple(outs), tuple(ins), len(C.hom(x, x)))
-
-
-def find_category_iso(C: FinCategory, D: FinCategory) -> FinFunctor | None:
-    """An isomorphism functor C -> D, or None.  Exhaustive; fixtures are small."""
-    if len(C.objects) != len(D.objects) or len(C.morphisms) != len(D.morphisms):
-        return None
-    sig_c = {x: _obj_signature(C, x) for x in C.objects}
-    sig_d = {x: _obj_signature(D, x) for x in D.objects}
-    if sorted(sig_c.values()) != sorted(sig_d.values()):
-        return None
-
-    cobjs = list(C.objects)
-
-    def extend_objects(i, omap, used):
-        if i == len(cobjs):
-            yield dict(omap)
-            return
-        x = cobjs[i]
-        for y in D.objects:
-            if y in used or sig_c[x] != sig_d[y]:
-                continue
-            if any(len(C.hom(x, z)) != len(D.hom(y, omap[z])) or
-                   len(C.hom(z, x)) != len(D.hom(omap[z], y)) for z in omap):
-                continue
-            omap[x] = y
-            used.add(y)
-            yield from extend_objects(i + 1, omap, used)
-            del omap[x]
-            used.discard(y)
-
-    cmors = sorted(C.morphisms)
-    for omap in extend_objects(0, {}, set()):
-        mmap: dict = {}
-        used: set = set()
-
-        def extend_mors(j):
-            if j == len(cmors):
-                cand = FinFunctor(C, D, omap, dict(mmap))
-                if not cand.violations():
-                    return cand
-                return None
-            m = cmors[j]
-            if C.is_identity(m):
-                im = D.identity[omap[C.dom[m]]]
-                if im in used:
-                    return None
-                mmap[m] = im
-                used.add(im)
-                r = extend_mors(j + 1)
-                if r:
-                    return r
-                del mmap[m]
-                used.discard(im)
-                return None
-            for im in D.hom(omap[C.dom[m]], omap[C.cod[m]]):
-                if im in used:
-                    continue
-                mmap[m] = im
-                used.add(im)
-                ok = True
-                for g in list(mmap):
-                    for f in list(mmap):
-                        if C.cod[f] == C.dom[g]:
-                            gf = C.compose(g, f)
-                            if gf in mmap and D.compose(mmap[g], mmap[f]) != mmap[gf]:
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if ok:
-                    r = extend_mors(j + 1)
-                    if r:
-                        return r
-                del mmap[m]
-                used.discard(im)
-            return None
-
-        found = extend_mors(0)
-        if found:
-            return found
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -93,13 +93,11 @@ class FinFn:
         if callable(table):
             table = {x: table(x) for x in dom}
         pairs = tuple(sorted(table.items(), key=lambda kv: canon_key(kv[0])))
-        return FinFn(dom, cod, pairs)._checked()
-
-    def _checked(self) -> "FinFn":
-        bad = self.violations()
+        fn = FinFn(dom, cod, pairs)
+        bad = fn.violations()
         if bad:
             raise InvalidStructure(bad)
-        return self
+        return fn
 
     @staticmethod
     def identity(s: FinSet) -> "FinFn":
@@ -136,12 +134,13 @@ class FinFn:
     def then(self, g: "FinFn") -> "FinFn":
         """self followed by g (i.e. g . self).
 
-        The composite keeps `self.mapping`'s key order, which `of` has already
-        made canonical, so it is validated but not sorted again."""
+        The composite of two total functions whose shapes match is total, and
+        it keeps `self.mapping`'s canonical key order, so it is neither
+        validated nor sorted again."""
         if g.dom != self.cod:
             raise ShapeMismatch("FinFn composition shape mismatch")
         gt = g.table
-        return FinFn(self.dom, g.cod, tuple((x, gt[v]) for x, v in self.mapping))._checked()
+        return FinFn(self.dom, g.cod, tuple((x, gt[v]) for x, v in self.mapping))
 
     def is_injective(self) -> bool:
         vals = [v for _, v in self.mapping]
@@ -154,37 +153,33 @@ class FinFn:
         return self.is_injective() and self.is_surjective()
 
 
-@dataclass(frozen=True)
 class SetDiagram:
     """Covariant finite-set-valued functor on a finite index category."""
 
-    index: object  # FinCategory; kept untyped to avoid an import cycle
-    on_objects: tuple  # sorted tuple of (obj, FinSet)
-    on_morphisms: tuple  # sorted tuple of (mor, FinFn)
+    def __init__(self, index, on_objects: dict, on_morphisms: dict):
+        self.index = index  # FinCategory; kept untyped to avoid an import cycle
+        self.on_objects = dict(on_objects)
+        self.on_morphisms = dict(on_morphisms)
 
     @staticmethod
     def of(index, on_objects: dict, on_morphisms: dict) -> "SetDiagram":
-        d = SetDiagram(
-            index,
-            tuple(sorted(on_objects.items())),
-            tuple(sorted(on_morphisms.items())),
-        )
+        d = SetDiagram(index, on_objects, on_morphisms)
         bad = d.violations()
         if bad:
             raise InvalidStructure(bad)
         return d
 
     def obj(self, o) -> FinSet:
-        return dict(self.on_objects)[o]
+        return self.on_objects[o]
 
     def mor(self, m) -> FinFn:
-        return dict(self.on_morphisms)[m]
+        return self.on_morphisms[m]
 
     def violations(self) -> list:
         out = []
         C = self.index
-        objs = dict(self.on_objects)
-        mors = dict(self.on_morphisms)
+        objs = self.on_objects
+        mors = self.on_morphisms
         for o in C.objects:
             if o not in objs:
                 out.append(f"diagram missing object {o}")

@@ -3,10 +3,12 @@
 `delta1` is the base for reflexive graphs (two objects V, E; cofaces d0, d1,
 codegeneracy s with s.d0 = s.d1 = id(V); seven morphisms after closure).
 `lattice-3-2` is the chain 0 < 1 < 2 reflecting onto the sublattice {0, 2}.
+Every fixture is validated as it is built.
 """
 
 from __future__ import annotations
 
+from .errors import FinitoposError, InvalidStructure
 from .fincat import (
     FinCategory,
     FinFunctor,
@@ -29,7 +31,7 @@ def delta1_base() -> FinCategory:
 def chain(n: int) -> FinCategory:
     """The linear order 0 < 1 < ... < n-1 as a thin category."""
     return poset_category([f"c{i}" for i in range(n)],
-                          lambda x, y: int(x[1:]) <= int(y[1:]))
+                          lambda x, y: int(x[1:]) <= int(y[1:])).validate()
 
 
 def bool2() -> FinCategory:
@@ -40,7 +42,7 @@ def bool2() -> FinCategory:
         "xb": {"xb", "top"},
         "top": {"top"},
     }
-    return poset_category(order.keys(), lambda x, y: y in order[x])
+    return poset_category(order.keys(), lambda x, y: y in order[x]).validate()
 
 
 def m3() -> FinCategory:
@@ -52,7 +54,7 @@ def m3() -> FinCategory:
         "xc": {"xc", "top"},
         "top": {"top"},
     }
-    return poset_category(order.keys(), lambda x, y: y in order[x])
+    return poset_category(order.keys(), lambda x, y: y in order[x]).validate()
 
 
 def _thin_functor(B: FinCategory, A: FinCategory, obj_map: dict) -> FinFunctor:
@@ -60,7 +62,8 @@ def _thin_functor(B: FinCategory, A: FinCategory, obj_map: dict) -> FinFunctor:
     for m in B.morphisms:
         x, y = obj_map[B.dom[m]], obj_map[B.cod[m]]
         homs = A.hom(x, y)
-        assert len(homs) == 1, f"target not thin over {x} -> {y}"
+        if len(homs) != 1:
+            raise InvalidStructure([f"target not thin over {x} -> {y}"])
         mor_map[m] = homs[0]
     return FinFunctor(B, A, obj_map, mor_map).validate()
 
@@ -68,7 +71,7 @@ def _thin_functor(B: FinCategory, A: FinCategory, obj_map: dict) -> FinFunctor:
 def lattice_3_2() -> Reflection:
     """Chain 0 < 1 < 2 reflecting onto {0, 2}, with L(1) = 2."""
     B = chain(3)
-    A = poset_category(["c0", "c2"], lambda x, y: int(x[1:]) <= int(y[1:]))
+    A = poset_category(["c0", "c2"], lambda x, y: int(x[1:]) <= int(y[1:])).validate()
     L = _thin_functor(B, A, {"c0": "c0", "c1": "c2", "c2": "c2"})
     F = _thin_functor(A, B, {"c0": "c0", "c2": "c2"})
     unit = FinNatTrans(
@@ -81,7 +84,7 @@ def lattice_3_2() -> Reflection:
 def delta1_to_point() -> Reflection:
     """delta1 reflecting onto its terminal object V (via the point category)."""
     B = delta1_base()
-    A = terminal_category()
+    A = terminal_category().validate()
     L = FinFunctor(B, A, {o: "pt" for o in B.objects},
                    {m: "id(pt)" for m in B.morphisms}).validate()
     F = FinFunctor(A, B, {"pt": "V"}, {"id(pt)": "id(V)"}).validate()
@@ -96,23 +99,23 @@ FIXTURE_CATEGORIES = {
     "chain-3": lambda: chain(3),
     "bool-2": bool2,
     "m3": m3,
-    "point": terminal_category,
+    "point": lambda: terminal_category().validate(),
 }
 
 FIXTURE_REFLECTIONS = {
     "lattice-3-2": lattice_3_2,
     "delta1": delta1_to_point,
-    "identity-chain-2": lambda: Reflection.identity(chain(2)),
+    "identity-chain-2": lambda: Reflection.identity(chain(2)).validate(),
 }
 
 
 def get_category(name: str) -> FinCategory:
     if name not in FIXTURE_CATEGORIES:
-        raise KeyError(f"unknown fixture category {name!r}")
+        raise FinitoposError(f"unknown fixture category {name!r}")
     return FIXTURE_CATEGORIES[name]()
 
 
 def get_reflection(name: str) -> Reflection:
     if name not in FIXTURE_REFLECTIONS:
-        raise KeyError(f"unknown fixture reflection {name!r}")
+        raise FinitoposError(f"unknown fixture reflection {name!r}")
     return FIXTURE_REFLECTIONS[name]()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import Budget, ensure_budget
-from .errors import BudgetExceeded, ShapeMismatch
+from .errors import BudgetExceeded, InvalidStructure, ShapeMismatch
 from .finset import FinFn, FinSet, canon_key
 from .presheaf import (
     Presheaf,
@@ -45,9 +45,12 @@ class RefGraph:
     edges: tuple  # sorted multiset of (src, tgt) vertex indices
 
     def __post_init__(self):
-        assert self.edges == tuple(sorted(self.edges))
-        for (a, b) in self.edges:
-            assert 0 <= a < self.n and 0 <= b < self.n
+        if self.edges != tuple(sorted(self.edges)):
+            raise InvalidStructure(["graph edges are not sorted"])
+        bad = [f"edge ({a}, {b}) leaves vertices 0..{self.n - 1}"
+               for (a, b) in self.edges if not (0 <= a < self.n and 0 <= b < self.n)]
+        if bad:
+            raise InvalidStructure(bad)
 
     @staticmethod
     def of(n: int, edges) -> "RefGraph":
@@ -84,7 +87,7 @@ class RefGraph:
         }
         act["d0.s"] = act["d0"].then(act["s"])
         act["d1.s"] = act["d1"].then(act["s"])
-        return Presheaf.of(C, at, act)
+        return Presheaf(C, at, act)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -120,15 +123,21 @@ class Preorder:
     carrier: tuple
     rel: frozenset  # ordered pairs, includes the diagonal
 
+    def __post_init__(self):
+        """The carrier is put in canonical order and `rel` gains the diagonal."""
+        carrier = tuple(sorted(self.carrier, key=canon_key))
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "rel", frozenset(self.rel) | {(x, x) for x in carrier})
+
     @staticmethod
     def of(carrier, rel) -> "Preorder":
-        carrier = tuple(sorted(carrier, key=canon_key))
-        rel = frozenset(rel) | {(x, x) for x in carrier}
-        p = Preorder(carrier, rel)
-        bad = p.violations()
+        return Preorder(carrier, rel).validate()
+
+    def validate(self) -> "Preorder":
+        bad = self.violations()
         if bad:
             raise ShapeMismatch("; ".join(bad))
-        return p
+        return self
 
     def violations(self) -> list[str]:
         out = []
@@ -177,7 +186,7 @@ def preorders_of_size(n: int):
         if key in seen:
             continue
         seen.add(key)
-        yield Preorder.of(elems, rel)
+        yield Preorder(elems, rel)
 
 
 def _canon_rel(elems, rel):
@@ -220,13 +229,13 @@ def embed(P: Preorder) -> Presheaf:
     }
     act["d0.s"] = act["d0"].then(act["s"])
     act["d1.s"] = act["d1"].then(act["s"])
-    return Presheaf.of(C, at, act)
+    return Presheaf(C, at, act)
 
 
 def embed_map(u: dict, P: Preorder, Q: Preorder) -> PresheafMap:
     """The graph map F(u): embed(P) -> embed(Q) of a monotone map u."""
     src, tgt = embed(P), embed(Q)
-    return PresheafMap.of(src, tgt, {
+    return PresheafMap(src, tgt, {
         "V": {x: u[x] for x in P.carrier},
         "E": {(a, b): (u[a], u[b]) for (a, b) in src.at["E"]},
     })
@@ -253,10 +262,9 @@ def preorder_reflection(G: Presheaf):
     """(L G, unit: G -> embed(L G)); the reflexive-transitive closure of the
     edge relation, parallel edges collapsing to one."""
     carrier = list(G.at["V"])
-    rel = transitive_closure(carrier, _edge_pairs(G))
-    LG = Preorder.of(carrier, rel)
+    LG = Preorder(carrier, transitive_closure(carrier, _edge_pairs(G)))
     FLG = embed(LG)
-    unit = PresheafMap.of(G, FLG, {
+    unit = PresheafMap(G, FLG, {
         "V": {v: v for v in carrier},
         "E": {e: (G.act["d0"](e), G.act["d1"](e)) for e in G.at["E"]},
     })
@@ -266,10 +274,6 @@ def preorder_reflection(G: Presheaf):
 def reflect_map(f: PresheafMap) -> dict:
     """L on morphisms: the vertex component, which is monotone on reflections."""
     return {v: f.components["V"](v) for v in f.source.at["V"]}
-
-
-def graph_maps(G: Presheaf, H: Presheaf, budget: Budget | int | None = None):
-    return nat_transformations(G, H, budget)
 
 
 def vertex_maps_to_embedded(G: Presheaf, Q: Preorder):
@@ -286,7 +290,7 @@ def vertex_maps_to_embedded(G: Presheaf, Q: Preorder):
                 "V": w,
                 "E": {e: (w[G.act["d0"](e)], w[G.act["d1"](e)]) for e in G.at["E"]},
             }
-            out.append(PresheafMap.of(G, FQ, comps))
+            out.append(PresheafMap(G, FQ, comps))
     return out
 
 
@@ -391,17 +395,18 @@ def check_product_preservation(max_v: int = 3, max_e: int = 4,
 def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 4,
                                    budget: Budget | int | None = None) -> Verdict:
     """(embed P)^G is an embedded preorder for all preorders P and graphs G
-    within bounds."""
+    within bounds.  Each graph's presheaf is built once for the sweep."""
     b_ = ensure_budget(budget, "check_exponential_ideal_graphs")
     tested = 0
     bounds = {"max_p": max_p, "max_v": max_v, "max_e": max_e}
+    graphs = [(G, G.presheaf()) for G in enumerate_graphs(max_v, max_e)]
     for P in enumerate_preorders(max_p):
         FP = embed(P)
-        for G in enumerate_graphs(max_v, max_e):
+        for G, PG in graphs:
             tested += 1
             try:
                 # each instance gets a fresh budget; the cap is per-exponential
-                E, _ = exponential(G.presheaf(), FP, b_.sub("exponential"))
+                E, _ = exponential(PG, FP, b_.sub("exponential"))
             except BudgetExceeded:
                 return Verdict("graph-exponential-ideal", INCONCLUSIVE,
                                bounds=dict(bounds, budget=b_.limit),
@@ -424,11 +429,10 @@ def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 
 # semi-left-exactness failure search (the decisive certificate)
 
 
-def _sle_instance_fails(X: RefGraph, P: Preorder, Q: Preorder, u: dict,
-                        f: PresheafMap):
-    """Test one candidate square; returns None or failure data."""
+def _sle_instance_fails(P: Preorder, fu: PresheafMap, f: PresheafMap):
+    """Test one candidate square, the pullback of f: X -> F Q along
+    fu = F u: F P -> F Q; returns None or failure data."""
     PX = f.source
-    fu = embed_map(u, P, Q)
     W, p1, p2 = pullback_presheaf(f, fu)
     LW, _ = preorder_reflection(W)
     LX, _ = preorder_reflection(PX)
@@ -445,13 +449,11 @@ def _sle_instance_fails(X: RefGraph, P: Preorder, Q: Preorder, u: dict,
     return {"missing": missing, "LW": LW, "pb_rel": pb_rel}
 
 
-def find_sle_failure(max_v: int = 4, max_e: int = 8, fast: bool = False,
+def find_sle_failure(max_v: int = 4, max_e: int = 8,
                      budget: Budget | int | None = None) -> Verdict:
     """Search canonical pullback squares of graphs over embedded-preorder legs
     whose preorder reflection fails to be a pullback.  Candidates are ordered
-    by total size then lexicographically, so the first hit is minimal (the
-    `fast` flag is accepted for interface symmetry; first-found is already
-    the strategy)."""
+    by total size then lexicographically, so the first hit is minimal."""
     b_ = ensure_budget(budget, "find_sle_failure")
     max_total = max_v * 3 + max_e
     try:
@@ -474,12 +476,13 @@ def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
                     for Q in preorders_of_size(nq):
                         for P in preorders_of_size(np_):
                             for u in monotone_maps(P, Q):
+                                fu = embed_map(u, P, Q)
                                 for X in graphs_of_size(nx, ex):
                                     PX = X.presheaf()
                                     for f in vertex_maps_to_embedded(PX, Q):
                                         b_.charge()
                                         tested += 1
-                                        bad = _sle_instance_fails(X, P, Q, u, f)
+                                        bad = _sle_instance_fails(P, fu, f)
                                         if bad is not None:
                                             return _sle_witness_verdict(
                                                 X, P, Q, u, f, bad, tested,
@@ -531,12 +534,11 @@ def reverify_graph_witness(w: dict) -> Verdict:
         u = {k: elem_from_json(v) for k, v in sq["u"].items()}
         PX = X.presheaf()
         fv = {k: elem_from_json(v) for k, v in sq["f"].items()}
-        FQ = embed(Q)
-        f = PresheafMap.of(PX, FQ, {
+        f = PresheafMap.of(PX, embed(Q), {
             "V": fv,
             "E": {e: (fv[PX.act["d0"](e)], fv[PX.act["d1"](e)]) for e in PX.at["E"]},
         })
-        bad = _sle_instance_fails(X, P, Q, u, f)
+        bad = _sle_instance_fails(P, embed_map(u, P, Q).validate(), f)
         if bad is None:
             return Verdict("witness-replay", FAIL,
                            witness={"kind": "replay",
@@ -555,7 +557,8 @@ def reverify_graph_witness(w: dict) -> Verdict:
         Z = Preorder.from_json(w["Z"])
         f = {elem_from_json(a): elem_from_json(b) for a, b in w["f"]}
         g = {elem_from_json(a): elem_from_json(b) for a, b in w["g"]}
-        pi = dependent_product(embed_map(f, X, P), embed_map(g, Z, X))
+        pi = dependent_product(embed_map(f, X, P).validate(),
+                               embed_map(g, Z, X).validate())
         ok, why = is_embedded_preorder(pi.source)
         if ok:
             return Verdict("witness-replay", FAIL,
@@ -634,14 +637,16 @@ def _sieve_instance_verdict(A0: Preorder, B0: RefGraph, uv: dict, replay=False):
     is F(L u) a member, i.e. does it factor through u?"""
     PB = B0.presheaf()
     FA = embed(A0)
-    u = PresheafMap.of(PB, FA, {
+    u = PresheafMap(PB, FA, {
         "V": uv,
         "E": {e: (uv[PB.act["d0"](e)], uv[PB.act["d1"](e)]) for e in PB.at["E"]},
     })
+    if replay:
+        u.validate()
     LB, _ = preorder_reflection(PB)
     lu = reflect_map(u)
     FLB = embed(LB)
-    flu = PresheafMap.of(FLB, FA, {
+    flu = PresheafMap(FLB, FA, {
         "V": {v: lu[v] for v in LB.carrier},
         "E": {(a, b): (lu[a], lu[b]) for (a, b) in FLB.at["E"]},
     })

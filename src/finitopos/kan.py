@@ -25,7 +25,7 @@ def restrict(L: FinFunctor, Y: Presheaf) -> Presheaf:
     B = L.source
     at = {b: Y.at[L.obj_map[b]] for b in B.objects}
     act = {m: Y.act[L.mor_map[m]] for m in B.morphisms}
-    return Presheaf.of(B, at, act)
+    return Presheaf(B, at, act)
 
 
 def restrict_map(L: FinFunctor, alpha: PresheafMap) -> PresheafMap:
@@ -68,8 +68,7 @@ def lan(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
             # m over beta: (b1,p1) -> (b2,p2); op-arrow glues X(b2) -> X(b1)
             beta = m.split("[", 1)[0]
             on_morphisms[m] = X.act[beta]
-        D = SetDiagram.of(idx, on_objects, on_morphisms)
-        col, injs = colimit(D)
+        col, injs = colimit(SetDiagram(idx, on_objects, on_morphisms))
         at[a] = col
         cls_by_a[a] = {(o, x): injs[o](x) for o in idx.objects for x in on_objects[o]}
         decode_by_a[a] = dict(decode)
@@ -84,7 +83,7 @@ def lan(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
             oid1 = f"{b}|{A.compose(phi, psi)}"
             table[rep] = cls_by_a[a1][(oid1, x)]
         act[psi] = FinFn.of(at[a2], at[a1], table)
-    out = Presheaf.of(A, at, act)
+    out = Presheaf(A, at, act)
     return KanResult("lan", L, X, out, injs_by_a, cls=cls_by_a, decode=decode_by_a)
 
 
@@ -140,16 +139,16 @@ def ran(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
         raise ShapeMismatch("ran: presheaf not on the functor's source")
     b_ = ensure_budget(budget, "ran")
     A, B = L.target, L.source
-    fams_by_a, at = {}, {}
+    restricted, fams_by_a, at = {}, {}, {}
     for a in A.objects:
-        P = restrict(L, yoneda(A, a))
+        P = restricted[a] = restrict(L, yoneda(A, a))
         fams = nat_transformations(P, X, b_)
         fams_by_a[a] = {f.encoding(): f for f in fams}
         at[a] = FinSet.of(fams_by_a[a].keys())
     act = {}
     for psi in A.morphisms:
         a1, a2 = A.dom[psi], A.cod[psi]
-        P1 = restrict(L, yoneda(A, a1))
+        P1 = restricted[a1]
         table = {}
         for enc, alpha in fams_by_a[a2].items():
             comps = {}
@@ -158,7 +157,7 @@ def ran(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
                 comps[b] = FinFn.of(P1.at[b], X.at[b], tbl)
             table[enc] = PresheafMap(P1, X, comps).encoding()
         act[psi] = FinFn.of(at[a2], at[a1], table)
-    out = Presheaf.of(A, at, act)
+    out = Presheaf(A, at, act)
     return KanResult("ran", L, X, out, fams_by_a, families=fams_by_a)
 
 

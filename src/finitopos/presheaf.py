@@ -5,6 +5,12 @@ A presheaf acts contravariantly: for f: c -> d the action is a function
 at(d) -> at(c).  Natural transformations are enumerated as the limit of the
 target over the (opposite) category of elements of the source, which routes
 every enumeration through one audited backtracking loop (finset.limit).
+
+`Presheaf(...)` and `PresheafMap(...)` normalise their input but do not
+check it; `Presheaf.of`, `PresheafMap.of` and `validate()` check
+functoriality and naturality.  Only code that takes outside input (the DSL,
+the JSON readers, witness replay) calls them: every construction in this
+module builds its values directly, and the tests check that they are valid.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from .fincat import (
     FinCategory,
     FinFunctor,
     Violation,
-    build_category,
     opposite,
 )
 from .finset import FinFn, FinSet, SetDiagram, canon_key, canon_sort, limit
@@ -31,24 +36,18 @@ def ename(e) -> str:
 
 class Presheaf:
     def __init__(self, base: FinCategory, at, act):
+        """Carriers are coerced to FinSet; missing identity actions are filled in."""
         self.base = base
-        self.at = dict(at)
+        self.at = {o: s if isinstance(s, FinSet) else FinSet.of(s) for o, s in at.items()}
         self.act = dict(act)
+        for o in base.objects:
+            i = base.identity[o]
+            if i not in self.act and o in self.at:
+                self.act[i] = FinFn.identity(self.at[o])
 
     @staticmethod
     def of(base: FinCategory, at: dict, act: dict) -> "Presheaf":
-        """Builds and validates; identity actions are filled in if missing."""
-        at = {o: s if isinstance(s, FinSet) else FinSet.of(s) for o, s in at.items()}
-        act = dict(act)
-        for o in base.objects:
-            i = base.identity[o]
-            if i not in act and o in at:
-                act[i] = FinFn.identity(at[o])
-        p = Presheaf(base, at, act)
-        bad = p.violations()
-        if bad:
-            raise InvalidStructure(bad)
-        return p
+        return Presheaf(base, at, act).validate()
 
     def violations(self) -> list[Violation]:
         out = []
@@ -105,23 +104,17 @@ class Presheaf:
 
 class PresheafMap:
     def __init__(self, source: Presheaf, target: Presheaf, components):
+        """Components given as dicts are coerced to FinFn."""
         self.source = source
         self.target = target
-        self.components = dict(components)
+        self.components = {
+            o: c if isinstance(c, FinFn) else FinFn.of(source.at[o], target.at[o], c)
+            for o, c in components.items()
+        }
 
     @staticmethod
     def of(source: Presheaf, target: Presheaf, components) -> "PresheafMap":
-        comps = {}
-        for o in source.base.objects:
-            c = components[o]
-            if not isinstance(c, FinFn):
-                c = FinFn.of(source.at[o], target.at[o], c)
-            comps[o] = c
-        m = PresheafMap(source, target, comps)
-        bad = m.violations()
-        if bad:
-            raise InvalidStructure(bad)
-        return m
+        return PresheafMap(source, target, components).validate()
 
     def violations(self) -> list[Violation]:
         out = []
@@ -184,13 +177,13 @@ class PresheafMap:
 def terminal_presheaf(C: FinCategory) -> Presheaf:
     at = {o: FinSet.of(["*"]) for o in C.objects}
     act = {m: FinFn.of(at[C.cod[m]], at[C.dom[m]], {"*": "*"}) for m in C.morphisms}
-    return Presheaf.of(C, at, act)
+    return Presheaf(C, at, act)
 
 
 def empty_presheaf(C: FinCategory) -> Presheaf:
     at = {o: FinSet.of([]) for o in C.objects}
     act = {m: FinFn.of(at[C.cod[m]], at[C.dom[m]], {}) for m in C.morphisms}
-    return Presheaf.of(C, at, act)
+    return Presheaf(C, at, act)
 
 
 def yoneda(C: FinCategory, c: str) -> Presheaf:
@@ -201,7 +194,7 @@ def yoneda(C: FinCategory, c: str) -> Presheaf:
     for f in C.morphisms:
         d, e = C.dom[f], C.cod[f]
         act[f] = FinFn.of(at[e], at[d], {h: C.compose(h, f) for h in at[e]})
-    return Presheaf.of(C, at, act)
+    return Presheaf(C, at, act)
 
 
 def product_presheaf(X: Presheaf, Y: Presheaf):
@@ -215,9 +208,9 @@ def product_presheaf(X: Presheaf, Y: Presheaf):
                     {(x, y): (X.act[m](x), Y.act[m](y)) for (x, y) in at[C.cod[m]]})
         for m in C.morphisms
     }
-    P = Presheaf.of(C, at, act)
-    p1 = PresheafMap.of(P, X, {o: {(x, y): x for (x, y) in at[o]} for o in C.objects})
-    p2 = PresheafMap.of(P, Y, {o: {(x, y): y for (x, y) in at[o]} for o in C.objects})
+    P = Presheaf(C, at, act)
+    p1 = PresheafMap(P, X, {o: {(x, y): x for (x, y) in at[o]} for o in C.objects})
+    p2 = PresheafMap(P, Y, {o: {(x, y): y for (x, y) in at[o]} for o in C.objects})
     return P, p1, p2
 
 
@@ -237,9 +230,9 @@ def pullback_presheaf(f: PresheafMap, g: PresheafMap):
                     {(x, y): (X.act[m](x), Y.act[m](y)) for (x, y) in at[C.cod[m]]})
         for m in C.morphisms
     }
-    P = Presheaf.of(C, at, act)
-    p1 = PresheafMap.of(P, X, {o: {(x, y): x for (x, y) in at[o]} for o in C.objects})
-    p2 = PresheafMap.of(P, Y, {o: {(x, y): y for (x, y) in at[o]} for o in C.objects})
+    P = Presheaf(C, at, act)
+    p1 = PresheafMap(P, X, {o: {(x, y): x for (x, y) in at[o]} for o in C.objects})
+    p2 = PresheafMap(P, Y, {o: {(x, y): y for (x, y) in at[o]} for o in C.objects})
     return P, p1, p2
 
 
@@ -288,7 +281,7 @@ def category_of_elements(P: Presheaf) -> Elements:
         for p2, o2b, o3, n2 in tri:
             if o2b == o2:
                 comp[(n2, n1)] = mor_id[(C.compose(p2, p1), o1, o3)]
-    cat = build_category(objs, morphisms, dom, cod, identity, comp)
+    cat = FinCategory(objs, morphisms, dom, cod, identity, comp)
     proj = FinFunctor(cat, C,
                       {o: decode[o][0] for o in objs},
                       {n: phi for phi, _, _, n in tri})
@@ -315,8 +308,7 @@ def nat_transformations(X: Presheaf, Y: Presheaf, budget: Budget | int | None = 
     # in the opposite index an el-arrow over phi: c -> d runs (d,y) -> (c,x)
     # and acts by Y.act[phi]: Y(d) -> Y(c)
     on_morphisms = {m: Y.act[el.projection.mor_map[m]] for m in el.category.morphisms}
-    D = SetDiagram.of(idx, on_objects, on_morphisms)
-    lim, projs = limit(D, b)
+    lim, projs = limit(SetDiagram(idx, on_objects, on_morphisms), b)
     out = []
     for fam in lim:
         comps = {}
@@ -379,7 +371,7 @@ def exponential(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None):
             alpha_f = PresheafMap(prod_at[c], Y, comps)
             table[enc] = alpha_f.encoding()
         act[f] = FinFn.of(at[d], at[c], table)
-    E = Presheaf.of(C, at, act)
+    E = Presheaf(C, at, act)
     EX, _, _ = product_presheaf(E, X)
     ev_comps = {}
     for c in C.objects:
@@ -388,8 +380,7 @@ def exponential(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None):
             alpha = maps_at[c][enc]
             tbl[(enc, x)] = alpha.components[c]((C.identity[c], x))
         ev_comps[c] = FinFn.of(EX.at[c], Y.at[c], tbl)
-    ev = PresheafMap.of(EX, Y, ev_comps)
-    return E.validate(), ev
+    return E, PresheafMap(EX, Y, ev_comps)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +400,7 @@ def _over_to_elements(f: PresheafMap, el_y: Elements) -> Presheaf:
         phi = el_y.projection.mor_map[m]
         o1, o2 = elC.dom[m], elC.cod[m]
         act[m] = FinFn.of(at[o2], at[o1], {x: X.act[phi](x) for x in at[o2]})
-    return Presheaf.of(elC, at, act)
+    return Presheaf(elC, at, act)
 
 
 def elements_functor(f: PresheafMap, el_x: Elements, el_y: Elements) -> FinFunctor:
@@ -424,7 +415,7 @@ def elements_functor(f: PresheafMap, el_x: Elements, el_y: Elements) -> FinFunct
         phi = el_x.projection.mor_map[m]
         o1, o2 = el_x.category.dom[m], el_x.category.cod[m]
         mor_map[m] = el_y.mor_id[(phi, obj_map[o1], obj_map[o2])]
-    return FinFunctor(el_x.category, el_y.category, obj_map, mor_map).validate()
+    return FinFunctor(el_x.category, el_y.category, obj_map, mor_map)
 
 
 def dependent_product(f: PresheafMap, g: PresheafMap, budget: Budget | int | None = None) -> PresheafMap:
@@ -463,9 +454,8 @@ def dependent_product(f: PresheafMap, g: PresheafMap, budget: Budget | int | Non
             em = el_y.mor_id[(m, o1, o2)]
             table[(y2, w2)] = (y1, w_tilde.act[em](w2))
         act[m] = FinFn.of(at[d], at[c], table)
-    W = Presheaf.of(C, at, act)
-    proj = PresheafMap.of(W, Y, {c: {(y, w): y for (y, w) in at[c]} for c in C.objects})
-    return proj
+    W = Presheaf(C, at, act)
+    return PresheafMap(W, Y, {c: {(y, w): y for (y, w) in at[c]} for c in C.objects})
 
 
 # ---------------------------------------------------------------------------
@@ -563,10 +553,7 @@ def presheaf_corpus(C: FinCategory, carrier_bound: int = 2,
                 fns = []  # no function into the empty set
             per_mor.append(fns)
         for combo in itertools.product(*per_mor):
-            act = dict(zip(nonid, combo))
-            p = Presheaf(C, at, act)
-            for o in objs:
-                p.act[C.identity[o]] = FinFn.identity(at[o])
+            p = Presheaf(C, at, dict(zip(nonid, combo)))
             if p.violations():
                 continue
             key = canonical_encoding(p)

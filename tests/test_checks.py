@@ -5,6 +5,7 @@ import copy
 import pytest
 
 from finitopos import checks, fixtures
+from finitopos.errors import NonUnique
 from finitopos.fincat import Reflection
 from finitopos.verdicts import FAIL, INCONCLUSIVE, PASS
 
@@ -26,6 +27,14 @@ def test_lattice_fixture_verdicts():
     assert checks.check_semi_left_exact(R).passed
     assert checks.check_stable_units(R).passed
     assert checks.check_exponential_ideal(R).passed
+
+
+def test_product_mediator_must_be_unique():
+    C = fixtures.get_category("delta1")
+    # s.h = s for each of the three endomorphisms h of E, so the cone
+    # (E, s, s) has three mediators from (E, s, s): it is no product
+    with pytest.raises(NonUnique):
+        checks._product_mediator(C, "E", ("E", "s", "s"), "s", "s")
 
 
 def test_delta1_exponential_ideal_inconclusive():

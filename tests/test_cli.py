@@ -174,3 +174,67 @@ def test_pi_command_roundtrip(tmp_path, capsys):
 
 def test_help_exits_cleanly(capsys):
     assert main(["--help"]) == EXIT_OK
+
+
+def _report_file(tmp_path, name, witness):
+    """A report with a valid digest around the given witness."""
+    from finitopos.verdicts import FAIL, Verdict
+    rep = report.make_report(command="search", bounds={},
+                             verdict=Verdict("witness-search", FAIL, witness=witness),
+                             witness=witness)
+    p = tmp_path / name
+    p.write_text(json.dumps(rep))
+    return p
+
+
+def _pre(carrier, rel=()):
+    from finitopos.graphpre import Preorder
+    return Preorder.of(carrier, rel).to_json()
+
+
+def _e(s):
+    return ["s", s]
+
+
+# a graph-pi witness whose f: X -> Y is not monotone (v0 <= v1 in X, not in Y),
+# and a graph-sle-square witness whose f sends the edge v0 -> v1 of X to a
+# pair the discrete Q does not relate
+BAD_DATA_WITNESSES = {
+    "graph-pi": {
+        "kind": "graph-pi",
+        "Y": _pre(["v0", "v1"]), "X": _pre(["v0", "v1"], [("v0", "v1")]),
+        "Z": _pre(["v0"]),
+        "f": [[_e("v0"), _e("v0")], [_e("v1"), _e("v1")]],
+        "g": [[_e("v0"), _e("v0")]],
+    },
+    "graph-sle-square": {
+        "square": {
+            "kind": "graph-sle-square",
+            "X": {"n": 2, "edges": [[0, 1]]},
+            "P": _pre(["v0"]), "Q": _pre(["v0", "v1"]),
+            "u": {"v0": _e("v0")},
+            "f": {"v0": _e("v0"), "v1": _e("v1")},
+        },
+        "f_image_leg": "g", "l_image": {"missing_relations": []}, "analysis": None,
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_DATA_WITNESSES))
+def test_replay_rejects_witness_built_from_bad_data(tmp_path, capsys, kind):
+    p = _report_file(tmp_path, "bad.json", BAD_DATA_WITNESSES[kind])
+    assert main(["replay", str(p)]) == EXIT_USAGE
+    assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("witness,field", [
+    ({"kind": "graph-pi"}, "'Y'"),
+    ({"kind": "graph-sle-square"}, "'X'"),
+    ({"square": 3}, "malformed witness"),
+])
+def test_replay_malformed_witness_names_report_and_field(tmp_path, capsys, witness, field):
+    p = _report_file(tmp_path, "malformed.json", witness)
+    assert main(["replay", str(p)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(p) in err and field in err
+    assert "fixture" not in err

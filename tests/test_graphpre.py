@@ -7,6 +7,8 @@ import itertools
 import pytest
 
 from finitopos import checks
+from finitopos.errors import InvalidStructure
+from finitopos.presheaf import nat_transformations
 from finitopos.graphpre import (
     Preorder,
     RefGraph,
@@ -18,7 +20,6 @@ from finitopos.graphpre import (
     enumerate_graphs,
     enumerate_preorders,
     find_sle_failure,
-    graph_maps,
     graphs_of_size,
     is_embedded_preorder,
     monotone_maps,
@@ -134,7 +135,7 @@ def test_vertex_maps_agree_with_generic_nat_enumeration():
     G = RefGraph.of(3, [(0, 1), (1, 2)])
     for Q in enumerate_preorders(2):
         fast = vertex_maps_to_embedded(G.presheaf(), Q)
-        slow = graph_maps(G.presheaf(), embed(Q))
+        slow = nat_transformations(G.presheaf(), embed(Q))
         assert len(fast) == len(slow)
         assert {f.encoding() for f in fast} == {f.encoding() for f in slow}
 
@@ -144,7 +145,7 @@ def test_reflect_map_is_monotone():
     H = RefGraph.of(2, [(0, 1)])
     LG, _ = preorder_reflection(G.presheaf())
     LH, _ = preorder_reflection(H.presheaf())
-    for f in graph_maps(G.presheaf(), H.presheaf()):
+    for f in nat_transformations(G.presheaf(), H.presheaf()):
         m = reflect_map(f)
         for (a, b) in LG.rel:
             assert LH.leq(m[a], m[b])
@@ -246,6 +247,11 @@ def test_no_sle_failure_among_trivial_squares():
 
 # ---------------------------------------------------------------------------
 # serialization round-trips
+
+
+def test_graph_with_edge_outside_vertices_rejected():
+    with pytest.raises(InvalidStructure):
+        RefGraph(2, ((0, 5),))
 
 
 def test_graph_json_roundtrip():
