@@ -38,7 +38,7 @@ def main():
     for n in range(1, args.max_vertices + 1):
         G = graphpre.RefGraph.of(n, [(a, b) for a in range(n) for b in range(n)])
         t0 = time.time()
-        L, _ = graphpre.preorder_reflection(G.presheaf())
+        L = graphpre.reflect(G.presheaf())
         print(f"  n={n}: |rel|={len(L.rel)}  ({time.time() - t0:.3f}s)")
 
 

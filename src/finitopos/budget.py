@@ -8,20 +8,25 @@ from __future__ import annotations
 
 import os
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, FinitoposError
 
 DEFAULT_BUDGET = 10**6
 ENV_VAR = "FINITOPOS_BUDGET"
 
 
 def default_budget() -> int:
+    """FINITOPOS_BUDGET if set, else DEFAULT_BUDGET; a value that is not a
+    positive integer raises rather than being replaced."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        return int(raw)
+        value = int(raw)
+        if value > 0:
+            return value
     except ValueError:
-        return DEFAULT_BUDGET
+        pass
+    raise FinitoposError(f"{ENV_VAR} must be a positive integer, got {raw!r}")
 
 
 class Budget:

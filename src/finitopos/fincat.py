@@ -125,7 +125,8 @@ class FinCategory:
         )
 
     def __eq__(self, other):
-        return isinstance(other, FinCategory) and self.encoding() == other.encoding()
+        return self is other or (isinstance(other, FinCategory)
+                                 and self.encoding() == other.encoding())
 
     def __hash__(self):
         return hash(self.encoding())

@@ -92,12 +92,16 @@ class FinFn:
     def of(dom: FinSet, cod: FinSet, table) -> "FinFn":
         if callable(table):
             table = {x: table(x) for x in dom}
+        try:
+            # dom.elements are in canonical order, so no sort is needed; a
+            # list gives the tuple its exact size (tuple(genexpr) over-allocates)
+            pairs = tuple([(x, table[x]) for x in dom.elements])
+        except KeyError:
+            pairs = None
+        if pairs is not None and len(table) == len(pairs) and all(v in cod for _, v in pairs):
+            return FinFn(dom, cod, pairs)
         pairs = tuple(sorted(table.items(), key=lambda kv: canon_key(kv[0])))
-        fn = FinFn(dom, cod, pairs)
-        bad = fn.violations()
-        if bad:
-            raise InvalidStructure(bad)
-        return fn
+        raise InvalidStructure(FinFn(dom, cod, pairs).violations())
 
     @staticmethod
     def identity(s: FinSet) -> "FinFn":
@@ -140,7 +144,8 @@ class FinFn:
         if g.dom != self.cod:
             raise ShapeMismatch("FinFn composition shape mismatch")
         gt = g.table
-        return FinFn(self.dom, g.cod, tuple((x, gt[v]) for x, v in self.mapping))
+        # a list, not a generator, for the reason given in FinFn.of
+        return FinFn(self.dom, g.cod, tuple([(x, gt[v]) for x, v in self.mapping]))
 
     def is_injective(self) -> bool:
         vals = [v for _, v in self.mapping]

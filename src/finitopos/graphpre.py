@@ -234,10 +234,14 @@ def embed(P: Preorder) -> Presheaf:
 
 def embed_map(u: dict, P: Preorder, Q: Preorder) -> PresheafMap:
     """The graph map F(u): embed(P) -> embed(Q) of a monotone map u."""
-    src, tgt = embed(P), embed(Q)
-    return PresheafMap(src, tgt, {
-        "V": {x: u[x] for x in P.carrier},
-        "E": {(a, b): (u[a], u[b]) for (a, b) in src.at["E"]},
+    return embedded_map(u, embed(P), embed(Q))
+
+
+def embedded_map(u: dict, FP: Presheaf, FQ: Presheaf) -> PresheafMap:
+    """F(u): FP -> FQ for FP = embed(P) and FQ = embed(Q) already built."""
+    return PresheafMap(FP, FQ, {
+        "V": {x: u[x] for x in FP.at["V"]},
+        "E": {(a, b): (u[a], u[b]) for (a, b) in FP.at["E"]},
     })
 
 
@@ -258,14 +262,18 @@ def transitive_closure(carrier, pairs) -> frozenset:
     return frozenset(rel)
 
 
-def preorder_reflection(G: Presheaf):
-    """(L G, unit: G -> embed(L G)); the reflexive-transitive closure of the
-    edge relation, parallel edges collapsing to one."""
+def reflect(G: Presheaf) -> Preorder:
+    """L on objects: the reflexive-transitive closure of the edge relation,
+    parallel edges collapsing to one."""
     carrier = list(G.at["V"])
-    LG = Preorder(carrier, transitive_closure(carrier, _edge_pairs(G)))
-    FLG = embed(LG)
-    unit = PresheafMap(G, FLG, {
-        "V": {v: v for v in carrier},
+    return Preorder(carrier, transitive_closure(carrier, _edge_pairs(G)))
+
+
+def preorder_reflection(G: Presheaf):
+    """(L G, unit: G -> embed(L G)); callers that need only L G call reflect."""
+    LG = reflect(G)
+    unit = PresheafMap(G, embed(LG), {
+        "V": {v: v for v in G.at["V"]},
         "E": {e: (G.act["d0"](e), G.act["d1"](e)) for e in G.at["E"]},
     })
     return LG, unit
@@ -319,8 +327,7 @@ def _graph_and_reflection(G: RefGraph) -> tuple[Presheaf, Preorder]:
     """(G as a presheaf, L G), built once per graph and shared by every pair
     the graph takes part in; callers must not mutate the presheaf."""
     PG = G.presheaf()
-    LG, _ = preorder_reflection(PG)
-    return PG, LG
+    return PG, reflect(PG)
 
 
 def product_reflection_agrees(G: RefGraph, H: RefGraph) -> tuple[bool, dict]:
@@ -332,7 +339,7 @@ def product_reflection_agrees(G: RefGraph, H: RefGraph) -> tuple[bool, dict]:
     PG, LG = _graph_and_reflection(G)
     PH, LH = _graph_and_reflection(H)
     prod, _, _ = product_presheaf(PG, PH)
-    left, _ = preorder_reflection(prod)
+    left = reflect(prod)
     right = frozenset(
         ((g1, h1), (g2, h2))
         for (g1, g2) in LG.rel for (h1, h2) in LH.rel
@@ -429,14 +436,11 @@ def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 
 # semi-left-exactness failure search (the decisive certificate)
 
 
-def _sle_instance_fails(P: Preorder, fu: PresheafMap, f: PresheafMap):
+def _sle_instance_fails(P: Preorder, LX: Preorder, fu: PresheafMap, f: PresheafMap):
     """Test one candidate square, the pullback of f: X -> F Q along
-    fu = F u: F P -> F Q; returns None or failure data."""
-    PX = f.source
-    W, p1, p2 = pullback_presheaf(f, fu)
-    LW, _ = preorder_reflection(W)
-    LX, _ = preorder_reflection(PX)
-    f_vert = reflect_map(f)
+    fu = F u: F P -> F Q, where LX = reflect(X); returns None or failure data."""
+    W, _, _ = pullback_presheaf(f, fu)
+    LW = reflect(W)
     # pullback of preorders: pairs with matching images, componentwise order
     pb_rel = frozenset(
         (w1, w2)
@@ -465,6 +469,16 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
 
 
 def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
+    """Squares in the order find_sle_failure promises; each value is built
+    once for the inputs it depends on:
+    - each preorder of each size up to max_v, with its embedding, once per
+      search;
+    - the graphs X of one size, with their presheaves and reflections LX,
+      once per (total, nq, np, nx), and only once some u: P -> Q of those
+      sizes exists;
+    - the graph maps X -> embed(Q), once per X within the loop over one Q;
+    - F u, once per (Q, P, u)."""
+    embedded = [[(P, embed(P)) for P in preorders_of_size(n)] for n in range(max_v + 1)]
     tested = 0
     for total in range(max_total + 1):
         for nq in range(0, max_v + 1):
@@ -473,16 +487,24 @@ def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
                     ex = total - nq - np_ - nx
                     if ex < 0 or ex > max_e:
                         continue
-                    for Q in preorders_of_size(nq):
-                        for P in preorders_of_size(np_):
+                    graphs = None
+                    for Q, FQ in embedded[nq]:
+                        maps = {}
+                        for P, FP in embedded[np_]:
                             for u in monotone_maps(P, Q):
-                                fu = embed_map(u, P, Q)
-                                for X in graphs_of_size(nx, ex):
-                                    PX = X.presheaf()
-                                    for f in vertex_maps_to_embedded(PX, Q):
+                                fu = embedded_map(u, FP, FQ)
+                                if graphs is None:
+                                    graphs = [(X, PX, reflect(PX))
+                                              for X in graphs_of_size(nx, ex)
+                                              for PX in [X.presheaf()]]
+                                for X, PX, LX in graphs:
+                                    fs = maps.get(X)
+                                    if fs is None:
+                                        fs = maps[X] = vertex_maps_to_embedded(PX, Q)
+                                    for f in fs:
                                         b_.charge()
                                         tested += 1
-                                        bad = _sle_instance_fails(P, fu, f)
+                                        bad = _sle_instance_fails(P, LX, fu, f)
                                         if bad is not None:
                                             return _sle_witness_verdict(
                                                 X, P, Q, u, f, bad, tested,
@@ -538,7 +560,7 @@ def reverify_graph_witness(w: dict) -> Verdict:
             "V": fv,
             "E": {e: (fv[PX.act["d0"](e)], fv[PX.act["d1"](e)]) for e in PX.at["E"]},
         })
-        bad = _sle_instance_fails(P, embed_map(u, P, Q).validate(), f)
+        bad = _sle_instance_fails(P, reflect(PX), embed_map(u, P, Q).validate(), f)
         if bad is None:
             return Verdict("witness-replay", FAIL,
                            witness={"kind": "replay",
@@ -643,13 +665,8 @@ def _sieve_instance_verdict(A0: Preorder, B0: RefGraph, uv: dict, replay=False):
     })
     if replay:
         u.validate()
-    LB, _ = preorder_reflection(PB)
-    lu = reflect_map(u)
-    FLB = embed(LB)
-    flu = PresheafMap(FLB, FA, {
-        "V": {v: lu[v] for v in LB.carrier},
-        "E": {(a, b): (lu[a], lu[b]) for (a, b) in FLB.at["E"]},
-    })
+    FLB = embed(reflect(PB))
+    flu = embedded_map(reflect_map(u), FLB, FA)
     factors = any(
         w.then(u).encoding() == flu.encoding()
         for w in nat_transformations(FLB, PB)

@@ -18,10 +18,12 @@ from finitopos.graphpre import (
     RefGraph,
     embed,
     embed_map,
+    embedded_map,
     enumerate_preorders,
     monotone_maps,
     preorder_reflection,
     preorders_of_size,
+    reflect,
     vertex_maps_to_embedded,
 )
 from finitopos.presheaf import (
@@ -250,6 +252,14 @@ def _embed_map():
     return [embed_map(u, P, Q) for P, Q, u in _preorder_maps()]
 
 
+def _embedded_map():
+    return [embedded_map(u, embed(P), embed(Q)) for P, Q, u in _preorder_maps()]
+
+
+def _reflect():
+    return [reflect(G.presheaf()) for G in _graphs()]
+
+
 def _preorder_reflection():
     out = []
     for G in _graphs():
@@ -305,6 +315,8 @@ CASES = {
     "RefGraph.presheaf": _refgraph_presheaf,
     "embed": _embed,
     "embed_map": _embed_map,
+    "embedded_map": _embedded_map,
+    "reflect": _reflect,
     "preorder_reflection": _preorder_reflection,
     "vertex_maps_to_embedded": _vertex_maps_to_embedded,
     "preorders_of_size": _preorders_of_size,

@@ -6,7 +6,7 @@ orbit computation.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from finitopos.errors import InvalidStructure, ShapeMismatch
 from finitopos.finset import (
@@ -54,6 +54,63 @@ def test_finfn_totality_checked():
         FinFn.of(A, B, {"a": 0})
     with pytest.raises(InvalidStructure):
         FinFn.of(A, B, {"a": 0, "b": 7})
+
+
+@st.composite
+def _table(draw):
+    """(dom, cod, table) with a total table, its keys in a drawn order."""
+    dom = FinSet.of(draw(st.lists(elements, unique=True, max_size=6)))
+    cod = FinSet.of(draw(st.lists(elements, unique=True, min_size=1, max_size=4)))
+    values = draw(st.lists(st.sampled_from(cod.elements),
+                           min_size=len(dom), max_size=len(dom)))
+    keys = draw(st.permutations(dom.elements))
+    table = {x: values[dom.elements.index(x)] for x in keys}
+    return dom, cod, table
+
+
+def _sorted_fn(dom, cod, table):
+    return FinFn(dom, cod, tuple(sorted(table.items(), key=lambda kv: canon_key(kv[0]))))
+
+
+@given(_table())
+def test_of_builds_canonical_mapping_whatever_the_key_order(dtc):
+    dom, cod, table = dtc
+    fn = FinFn.of(dom, cod, table)
+    assert fn.mapping == _sorted_fn(dom, cod, table).mapping
+    assert fn.mapping == FinFn.of(dom, cod, dict(reversed(table.items()))).mapping
+
+
+@given(_table(), elements, st.sampled_from(["missing", "extra", "outside"]))
+def test_of_reports_every_violation_of_a_bad_table(dtc, new, defect):
+    """Each defect gives the violation list `violations()` gives for the same
+    table, in its order and wording."""
+    dom, cod, table = dtc
+    if defect == "missing":
+        assume(table)
+        del table[next(iter(table))]
+    elif defect == "extra":
+        assume(new not in dom)
+        table[new] = cod.elements[0]
+    else:
+        assume(table and new not in cod)
+        table[next(iter(table))] = new
+    with pytest.raises(InvalidStructure) as e:
+        FinFn.of(dom, cod, table)
+    assert e.value.violations == _sorted_fn(dom, cod, table).violations() != []
+
+
+def test_of_violation_wording():
+    A = FinSet.of(["a", "b"])
+    B = FinSet.of([0, 1])
+    cases = [
+        ({"a": 0}, ["FinFn not total: missing 'b'"]),
+        ({"a": 0, "b": 1, "z": 0}, ["FinFn keyed by non-domain element 'z'"]),
+        ({"a": 0, "b": 7}, ["FinFn value 7 outside codomain"]),
+    ]
+    for table, expected in cases:
+        with pytest.raises(InvalidStructure) as e:
+            FinFn.of(A, B, table)
+        assert e.value.violations == expected
 
 
 def test_finfn_composition_and_predicates():

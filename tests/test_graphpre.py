@@ -26,11 +26,12 @@ from finitopos.graphpre import (
     preorder_reflection,
     preorders_of_size,
     product_reflection_agrees,
+    reflect,
     reflect_map,
     reverify_graph_witness,
     vertex_maps_to_embedded,
 )
-from finitopos.verdicts import FAIL, NOT_FOUND, PASS
+from finitopos.verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,13 @@ def test_reflection_of_embedded_preorder_is_identity():
             assert frozenset(LP.rel) == P.rel
             # the unit is an isomorphism on vertices
             assert all(unit.components["V"](v) == v for v in P.carrier)
+
+
+def test_reflect_is_the_object_part_of_preorder_reflection():
+    for G in enumerate_graphs(3, 2):
+        PG = G.presheaf()
+        LG, _ = preorder_reflection(PG)
+        assert reflect(PG) == LG
 
 
 def test_unit_universal_property():
@@ -215,9 +223,33 @@ def test_sle_failure_found(sle_verdict):
     assert sle_verdict.outcome == FAIL
     w = sle_verdict.witness.to_json()
     assert w["square"]["kind"] == "graph-sle-square"
-    assert w["l_image"]["missing_relations"]
     # no mediator exists from the true preorder pullback
     assert w["analysis"]["count"] == 0
+    # the squares tested up to the first hit, and the hit itself, in the
+    # order find_sle_failure promises
+    assert sle_verdict.stats == {"squares": 13251}
+    sq = w["square"]
+    assert sq["X"] == {"n": 3, "edges": [[0, 1], [1, 2]]}
+    assert sq["P"]["carrier"] == [["s", "v0"]]
+    assert sq["Q"]["carrier"] == [["s", "v0"], ["s", "v1"]]
+    assert len(sq["Q"]["rel"]) == 4  # indiscrete
+    assert sq["u"] == {"v0": ["s", "v0"]}
+    assert sq["f"] == {"v0": ["s", "v0"], "v1": ["s", "v1"], "v2": ["s", "v0"]}
+    assert w["l_image"]["missing_relations"] == [
+        [["t", [["s", "v0"], ["s", "v0"]]], ["t", [["s", "v2"], ["s", "v0"]]]]]
+
+
+@pytest.mark.parametrize("max_v, max_e, squares", [(2, 2, 1518), (2, 4, 5321)])
+def test_sle_search_covers_space_without_failure(max_v, max_e, squares):
+    v = find_sle_failure(max_v=max_v, max_e=max_e)
+    assert v.outcome == NOT_FOUND
+    assert v.stats == {"squares": squares}
+
+
+def test_sle_search_budget_exhaustion_is_inconclusive():
+    v = find_sle_failure(max_v=3, max_e=2, budget=5000)
+    assert v.outcome == INCONCLUSIVE
+    assert v.bounds["budget"] == 5000
 
 
 def test_sle_witness_replays_from_serialization_alone(sle_verdict):
