@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run the full certification pipeline and print one verdict per line.
 
+Exits 3 if any line is INCONCLUSIVE, except the lines listed in
+EXPECTED_INCONCLUSIVE, which no bound can decide.
+
 This is the long-form version of what the acceptance tests assert: fixture
 validation, the Kan adjunction chain, the reflection property checkers, the
 graphs-vs-preorders certificates, and the counterexample search.  Bounds are
@@ -17,6 +20,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from finitopos import checks, fixtures, graphpre, kan  # noqa: E402
 from finitopos.fincat import check_adjunction  # noqa: E402
+
+
+# Lines that are INCONCLUSIVE at any bound because the fixture lacks the
+# limits the check needs; they are listed, and do not set the exit code.
+EXPECTED_INCONCLUSIVE = {
+    "stable-units/delta1": "delta1 has no pullbacks",
+    "exp-ideal/delta1": "delta1 has no products",
+}
 
 
 def stamp(label, verdict, t0):
@@ -81,7 +92,11 @@ def main():
             {k: v.to_json() for k, v in results.items()}, indent=2, sort_keys=True) + "\n")
         print(f"verdicts written to {args.out}")
 
-    bad = [k for k, v in results.items() if v.outcome == "INCONCLUSIVE"]
+    inconclusive = [k for k, v in results.items() if v.outcome == "INCONCLUSIVE"]
+    for k in inconclusive:
+        if k in EXPECTED_INCONCLUSIVE:
+            print(f"inconclusive as expected: {k} ({EXPECTED_INCONCLUSIVE[k]})")
+    bad = [k for k in inconclusive if k not in EXPECTED_INCONCLUSIVE]
     if bad:
         print("inconclusive:", ", ".join(bad))
         return 3

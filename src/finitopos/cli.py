@@ -16,7 +16,7 @@ from . import checks, dsl, fixtures, graphpre, kan, report
 from .budget import Budget
 from .errors import BudgetExceeded, FinitoposError, InvalidStructure, NonUnique
 from .fincat import check_adjunction
-from .presheaf import dependent_product, exponential, yoneda
+from .presheaf import dependent_product, exponential_presheaf, yoneda
 from .verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS, Verdict
 
 EXIT_OK = 0
@@ -252,7 +252,7 @@ def cmd_exp(args) -> int:
     if args.x not in resolved.presheaves or args.y not in resolved.presheaves:
         raise _Usage("both --x and --y must name presheaves in the file")
     budget = Budget(args.budget, "exp")
-    E, _ = exponential(resolved.presheaves[args.x], resolved.presheaves[args.y], budget)
+    E = exponential_presheaf(resolved.presheaves[args.x], resolved.presheaves[args.y], budget)
     verdict = Verdict("exponential", PASS, stats={"carriers": _presheaf_summary(E)})
     print(json.dumps(report.presheaf_to_json(E), indent=2, sort_keys=True))
     return _emit(args, verdict, bounds={"budget": budget.limit})

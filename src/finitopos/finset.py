@@ -269,6 +269,22 @@ def coequalizer(f: FinFn, g: FinFn) -> tuple[FinSet, FinFn]:
     return q, FinFn.of(f.cod, q, cls)
 
 
+def _search_order(successors: list) -> list:
+    """Object positions in the order the limit search assigns them: next
+    the least object that a morphism from an assigned one reaches (its value
+    is then forced), else the least unassigned one.  This depends only on
+    which objects are assigned, never on their values, so it is the same on
+    every branch and is fixed before the search starts."""
+    order, unassigned, reached = [], set(range(len(successors))), set()
+    while unassigned:
+        p = min(reached or unassigned)
+        order.append(p)
+        unassigned.discard(p)
+        reached.discard(p)
+        reached.update(k for k in successors[p] if k in unassigned)
+    return order
+
+
 def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, dict]:
     """Set of compatible families, with projections.
 
@@ -276,79 +292,92 @@ def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, di
     forward propagation rather than by materializing the full product: a
     morphism out of an assigned object forces the value at its codomain, which
     keeps representable-heavy diagrams (exponentials) tractable.
+
+    The order in which objects are assigned is fixed before the search starts
+    (`_search_order`), so each step's forcing morphisms and consistency checks
+    against earlier steps are tabulated once, and the search runs on an
+    explicit stack, whatever the size of the index.  Every candidate tried
+    charges the budget once.
     """
     b = ensure_budget(budget, "limit")
     C = D.index
     objs = list(C.objects)
+    if not objs:
+        lim = FinSet.of([()])
+        return lim, {}
     pos = {o: i for i, o in enumerate(objs)}
-    # constraint tables indexed by endpoint for fast incremental checks
-    incoming: dict = {o: [] for o in objs}  # o -> [(j, table)] for f: j -> o
-    outgoing: dict = {o: [] for o in objs}  # o -> [(k, table)] for f: o -> k
-    loops: dict = {o: [] for o in objs}
+    # constraint tables indexed by endpoint position
+    incoming: list = [[] for _ in objs]  # [(j, table)] for f: j -> o
+    outgoing: list = [[] for _ in objs]  # [(k, table)] for f: o -> k
+    loops: list = [[] for _ in objs]
     for m in C.morphisms:
-        j, k, t = C.dom[m], C.cod[m], D.mor(m).table
+        j, k, t = pos[C.dom[m]], pos[C.cod[m]], D.mor(m).table
         if j == k:
             loops[j].append(t)
         else:
             incoming[k].append((j, t))
             outgoing[j].append((k, t))
+    order = _search_order([[k for k, _ in out] for out in outgoing])
+    step_of = [0] * len(objs)
+    for s, p in enumerate(order):
+        step_of[p] = s
 
+    # per step: the values to try when nothing forces one, the forcing
+    # tables (from earlier steps), the tables checked against earlier steps,
+    # and the values every loop fixes (None when that is all of them)
+    values, forcing, checks, fixed = [], [], [], []
+    for s, p in enumerate(order):
+        carrier = D.obj(objs[p]).elements
+        values.append(carrier)
+        forcing.append([(step_of[j], t) for j, t in incoming[p] if step_of[j] < s])
+        checks.append([(step_of[k], t) for k, t in outgoing[p] if step_of[k] < s])
+        keep = [v for v in carrier if all(t[v] == v for t in loops[p])]
+        fixed.append(None if len(keep) == len(carrier) else set(keep))
+
+    def candidates(s: int, vals: list):
+        if not forcing[s]:
+            return values[s]
+        (q, t), *rest = forcing[s]
+        v = t[vals[q]]
+        for q, t in rest:
+            if t[vals[q]] != v:
+                return ()
+        return (v,)
+
+    charge = b.charge
+    last = len(order) - 1
     results: list[tuple] = []
-
-    def order_next(assigned: dict) -> str | None:
-        # prefer an object whose value is forced by an already-assigned one
-        for o in objs:
-            if o not in assigned and any(j in assigned for j, _ in incoming[o]):
-                return o
-        for o in objs:
-            if o not in assigned:
-                return o
-        return None
-
-    def candidates(o, assigned: dict):
-        forced = None
-        for j, t in incoming[o]:
-            if j in assigned:
-                v = t[assigned[j]]
-                if forced is None:
-                    forced = {v}
-                else:
-                    forced &= {v}
-        if forced is not None:
-            return [v for v in D.obj(o) if v in forced]
-        return list(D.obj(o))
-
-    def consistent(o, v, assigned: dict) -> bool:
-        for k, t in outgoing[o]:
-            if k in assigned and t[v] != assigned[k]:
-                return False
-        for j, t in incoming[o]:
-            if j in assigned and t[assigned[j]] != v:
-                return False
-        for t in loops[o]:
-            if t[v] != v:
-                return False
-        return True
-
-    def search(assigned: dict):
-        o = order_next(assigned)
-        if o is None:
-            results.append(tuple(assigned[x] for x in objs))
-            return
-        for v in candidates(o, assigned):
-            b.charge()
-            if consistent(o, v, assigned):
-                assigned[o] = v
-                search(assigned)
-                del assigned[o]
-
-    if not objs:
-        lim = FinSet.of([()])
-        return lim, {}
-    search({})
+    vals: list = [None] * len(order)
+    cands: list = [()] * len(order)
+    tried = [0] * len(order)
+    s = 0
+    cands[0] = candidates(0, vals)
+    while s >= 0:
+        i = tried[s]
+        if i == len(cands[s]):
+            s -= 1
+            continue
+        tried[s] = i + 1
+        v = cands[s][i]
+        charge()
+        keep = fixed[s]
+        if keep is not None and v not in keep:
+            continue
+        for q, t in checks[s]:
+            if t[v] != vals[q]:
+                break
+        else:
+            vals[s] = v
+            if s == last:
+                results.append(tuple([vals[q] for q in step_of]))
+            else:
+                s += 1
+                cands[s] = candidates(s, vals)
+                tried[s] = 0
     lim = FinSet.of(results)
     projs = {
-        o: FinFn.of(lim, D.obj(o), {t: t[pos[o]] for t in lim}) for o in objs
+        o: FinFn(lim, D.obj(o), tuple([(t, t[i]) for t in lim.elements]))
+        for i, o in enumerate(objs)
     }
     return lim, projs
 

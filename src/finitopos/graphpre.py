@@ -21,7 +21,7 @@ from .presheaf import (
     Presheaf,
     PresheafMap,
     dependent_product,
-    exponential,
+    exponential_presheaf,
     nat_transformations,
     product_presheaf,
     pullback_presheaf,
@@ -246,7 +246,9 @@ def embedded_map(u: dict, FP: Presheaf, FQ: Presheaf) -> PresheafMap:
 
 
 def _edge_pairs(G: Presheaf):
-    return [(G.act["d0"](e), G.act["d1"](e)) for e in G.at["E"]]
+    """(source, target) of each edge, in G.at["E"] order; both action tables
+    list the edges in that order, so no edge is looked up."""
+    return [(s, t) for (_, s), (_, t) in zip(G.act["d0"].mapping, G.act["d1"].mapping)]
 
 
 def transitive_closure(carrier, pairs) -> frozenset:
@@ -284,16 +286,16 @@ def reflect_map(f: PresheafMap) -> dict:
     return {v: f.components["V"](v) for v in f.source.at["V"]}
 
 
-def vertex_maps_to_embedded(G: Presheaf, Q: Preorder):
-    """Graph maps G -> embed(Q) biject with edge-respecting vertex maps,
-    since embed(Q) has one edge per related pair."""
-    FQ = embed(Q)
+def vertex_maps_to_embedded(G: Presheaf, FQ: Presheaf):
+    """Graph maps G -> FQ for FQ = embed(Q) already built.  They biject with
+    edge-respecting vertex maps, since FQ has one edge per related pair."""
     out = []
     verts = list(G.at["V"])
     pairs = _edge_pairs(G)
-    for values in itertools.product(Q.carrier, repeat=len(verts)):
+    related = FQ.at["E"]
+    for values in itertools.product(FQ.at["V"].elements, repeat=len(verts)):
         w = dict(zip(verts, values))
-        if all(Q.leq(w[a], w[b]) for (a, b) in pairs):
+        if all((w[a], w[b]) in related for (a, b) in pairs):
             comps = {
                 "V": w,
                 "E": {e: (w[G.act["d0"](e)], w[G.act["d1"](e)]) for e in G.at["E"]},
@@ -311,9 +313,14 @@ def is_embedded_preorder(X: Presheaf):
         dup = sorted(p for p in set(pairs) if pairs.count(p) > 1)[0]
         return False, f"parallel edges over {dup!r}"
     rel = set(pairs) | {(v, v) for v in X.at["V"]}
+    # successors listed in rel's own iteration order, so the first missing
+    # edge found is the one a scan of all pairs of rel would find first
+    succ: dict = {}
+    for (b, c) in rel:
+        succ.setdefault(b, []).append(c)
     for (a, b) in rel:
-        for (b2, c) in rel:
-            if b2 == b and (a, c) not in rel:
+        for c in succ[b]:
+            if (a, c) not in rel:
                 return False, f"missing transitive edge {a!r} -> {c!r}"
     return True, ""
 
@@ -413,7 +420,7 @@ def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 
             tested += 1
             try:
                 # each instance gets a fresh budget; the cap is per-exponential
-                E, _ = exponential(PG, FP, b_.sub("exponential"))
+                E = exponential_presheaf(PG, FP, b_.sub("exponential"))
             except BudgetExceeded:
                 return Verdict("graph-exponential-ideal", INCONCLUSIVE,
                                bounds=dict(bounds, budget=b_.limit),
@@ -476,7 +483,8 @@ def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
     - the graphs X of one size, with their presheaves and reflections LX,
       once per (total, nq, np, nx), and only once some u: P -> Q of those
       sizes exists;
-    - the graph maps X -> embed(Q), once per X within the loop over one Q;
+    - the graph maps X -> embed(Q), from Q's embedding, once per X within
+      the loop over one Q;
     - F u, once per (Q, P, u)."""
     embedded = [[(P, embed(P)) for P in preorders_of_size(n)] for n in range(max_v + 1)]
     tested = 0
@@ -500,7 +508,7 @@ def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
                                 for X, PX, LX in graphs:
                                     fs = maps.get(X)
                                     if fs is None:
-                                        fs = maps[X] = vertex_maps_to_embedded(PX, Q)
+                                        fs = maps[X] = vertex_maps_to_embedded(PX, FQ)
                                     for f in fs:
                                         b_.charge()
                                         tested += 1
@@ -603,14 +611,16 @@ def find_pi_witness(max_n: int = 3, max_instances: int = 2000,
                     budget: Budget | int | None = None) -> Verdict:
     """Look for monotone f: X -> Y, g: Z -> X whose dependent product taken in
     reflexive graphs is not an embedded preorder.  Evidence only; the decisive
-    certificate is find_sle_failure."""
+    certificate is find_sle_failure.  Each preorder is embedded once per
+    search."""
     b_ = ensure_budget(budget, "find_pi_witness")
     tested = 0
-    pre = list(enumerate_preorders(max_n))
-    for Y in pre:
-        for X in pre:
+    pre = [(P, embed(P)) for P in enumerate_preorders(max_n)]
+    for Y, FY in pre:
+        for X, FX in pre:
             for f in monotone_maps(X, Y):
-                for Z in pre:
+                ff = embedded_map(f, FX, FY)
+                for Z, FZ in pre:
                     for g in monotone_maps(Z, X):
                         if tested >= max_instances:
                             return Verdict("pi-witness-search", NOT_FOUND,
@@ -621,8 +631,7 @@ def find_pi_witness(max_n: int = 3, max_instances: int = 2000,
                         b_.charge()
                         tested += 1
                         try:
-                            pi = dependent_product(embed_map(f, X, Y),
-                                                   embed_map(g, Z, X),
+                            pi = dependent_product(ff, embedded_map(g, FZ, FX),
                                                    b_.sub("dependent_product"))
                         except BudgetExceeded:
                             return Verdict("pi-witness-search", INCONCLUSIVE,
@@ -700,7 +709,7 @@ def _sieve_search(max_n, max_v, max_e, b_) -> Verdict:
         FA = embed(A0)
         for B0 in enumerate_graphs(max_v, max_e):
             PB = B0.presheaf()
-            for um in vertex_maps_to_embedded(PB, A0):
+            for um in vertex_maps_to_embedded(PB, FA):
                 b_.charge()
                 tested += 1
                 uv = {v: um.components["V"](v) for v in PB.at["V"]}

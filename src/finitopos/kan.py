@@ -14,7 +14,7 @@ from .budget import Budget, ensure_budget
 from .errors import NonUnique, ShapeMismatch
 from .fincat import FinFunctor, Reflection, comma_from_object, opposite
 from .finset import FinFn, FinSet, SetDiagram, colimit
-from .presheaf import Presheaf, PresheafMap, nat_transformations, yoneda
+from .presheaf import Presheaf, PresheafMap, nat_transformations, precompose_families, yoneda
 from .verdicts import FAIL, PASS, Verdict
 
 
@@ -138,25 +138,19 @@ def ran(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
     if X.base != L.source:
         raise ShapeMismatch("ran: presheaf not on the functor's source")
     b_ = ensure_budget(budget, "ran")
-    A, B = L.target, L.source
+    A = L.target
     restricted, fams_by_a, at = {}, {}, {}
     for a in A.objects:
         P = restricted[a] = restrict(L, yoneda(A, a))
         fams = nat_transformations(P, X, b_)
         fams_by_a[a] = {f.encoding(): f for f in fams}
-        at[a] = FinSet.of(fams_by_a[a].keys())
+        # nat_transformations returns the families sorted by their encodings
+        at[a] = FinSet(tuple(fams_by_a[a]))
     act = {}
     for psi in A.morphisms:
         a1, a2 = A.dom[psi], A.cod[psi]
-        P1 = restricted[a1]
-        table = {}
-        for enc, alpha in fams_by_a[a2].items():
-            comps = {}
-            for b in B.objects:
-                tbl = {phi: alpha.components[b](A.compose(psi, phi)) for phi in P1.at[b]}
-                comps[b] = FinFn.of(P1.at[b], X.at[b], tbl)
-            table[enc] = PresheafMap(P1, X, comps).encoding()
-        act[psi] = FinFn.of(at[a2], at[a1], table)
+        act[psi] = precompose_families(at[a2], at[a1], restricted[a1], restricted[a2],
+                                       lambda b, phi, psi=psi: A.compose(psi, phi))
     out = Presheaf(A, at, act)
     return KanResult("ran", L, X, out, fams_by_a, families=fams_by_a)
 

@@ -4,7 +4,13 @@ limits, exponentials, sieves, and dependent products.
 A presheaf acts contravariantly: for f: c -> d the action is a function
 at(d) -> at(c).  Natural transformations are enumerated as the limit of the
 target over the (opposite) category of elements of the source, which routes
-every enumeration through one audited backtracking loop (finset.limit).
+every enumeration through one audited backtracking loop (finset.limit, whose
+object order is fixed before the search starts).
+
+`exponential_presheaf(X, Y)` builds Y^X alone: its carriers are encodings of
+natural families, and its action transposes an encoding by position.
+`exponential(X, Y)` returns (Y^X, ev) and so also builds Y^X x X and the
+evaluation; callers that only need the object call the former.
 
 `Presheaf(...)` and `PresheafMap(...)` normalise their input but do not
 check it; `Presheaf.of`, `PresheafMap.of` and `validate()` check
@@ -263,24 +269,33 @@ def category_of_elements(P: Presheaf) -> Elements:
     objs = sorted(decode)
     morphisms, dom, cod, identity, comp = [], {}, {}, {}, {}
     mor_id = {}
+    # the arrow over phi: c -> d into (d, y) starts at (c, P(phi)(y)); sorted
+    # by (source, target, phi), they come in the order of a scan of all pairs
+    into = {d: [phi for phi in C.morphisms if C.cod[phi] == d] for d in C.objects}
+    arrows = []
+    for o2 in objs:
+        d, y = decode[o2]
+        for phi in into[d]:
+            arrows.append((obj_id[(C.dom[phi], P.act[phi].table[y])], o2, phi))
+    arrows.sort()
+    identities = set(C.identity.values())
     tri = []
-    for o1 in objs:
-        c, x = decode[o1]
-        for o2 in objs:
-            d, y = decode[o2]
-            for phi in C.hom(c, d):
-                if P.act[phi](y) == x:
-                    n = f"{phi}[{o1}>{o2}]"
-                    morphisms.append(n)
-                    dom[n], cod[n] = o1, o2
-                    mor_id[(phi, o1, o2)] = n
-                    tri.append((phi, o1, o2, n))
-                    if o1 == o2 and C.is_identity(phi):
-                        identity[o1] = n
+    for o1, o2, phi in arrows:
+        n = f"{phi}[{o1}>{o2}]"
+        morphisms.append(n)
+        dom[n], cod[n] = o1, o2
+        mor_id[(phi, o1, o2)] = n
+        tri.append((phi, o1, o2, n))
+        if o1 == o2 and phi in identities:
+            identity[o1] = n
+    # composable pairs through each object's outgoing arrows, kept in `tri`
+    # order so that `comp` is filled in the same order as by a scan of all pairs
+    out_of: dict = {o: [] for o in objs}
+    for phi, o1, o2, n in tri:
+        out_of[o1].append((phi, o2, n))
     for p1, o1, o2, n1 in tri:
-        for p2, o2b, o3, n2 in tri:
-            if o2b == o2:
-                comp[(n2, n1)] = mor_id[(C.compose(p2, p1), o1, o3)]
+        for p2, o3, n2 in out_of[o2]:
+            comp[(n2, n1)] = mor_id[(C.compose(p2, p1), o1, o3)]
     cat = FinCategory(objs, morphisms, dom, cod, identity, comp)
     proj = FinFunctor(cat, C,
                       {o: decode[o][0] for o in objs},
@@ -308,18 +323,21 @@ def nat_transformations(X: Presheaf, Y: Presheaf, budget: Budget | int | None = 
     # in the opposite index an el-arrow over phi: c -> d runs (d,y) -> (c,x)
     # and acts by Y.act[phi]: Y(d) -> Y(c)
     on_morphisms = {m: Y.act[el.projection.mor_map[m]] for m in el.category.morphisms}
-    lim, projs = limit(SetDiagram(idx, on_objects, on_morphisms), b)
+    lim, _ = limit(SetDiagram(idx, on_objects, on_morphisms), b)
+    # each component is read off a family by the positions of its elements
+    pos = {o: i for i, o in enumerate(idx.objects)}
+    plan = [(c, X.at[c], Y.at[c], [pos[el.obj_id[(c, x)]] for x in X.at[c].elements])
+            for c in X.base.objects]
+    # encodings of two families over the same X first differ at the first
+    # element, in encoding order, where the families differ, so sorting by the
+    # values in that order sorts by canon_key of the encoding
+    flat = [i for _, _, _, at_c in plan for i in at_c]
     out = []
-    for fam in lim:
-        comps = {}
-        for c in X.base.objects:
-            table = {}
-            for x in X.at[c]:
-                oid = el.obj_id[(c, x)]
-                table[x] = projs[oid](fam) if projs else None
-            comps[c] = FinFn.of(X.at[c], Y.at[c], table)
-        out.append(PresheafMap(X, Y, comps))
-    out.sort(key=lambda m: canon_key(m.encoding()))
+    for fam in sorted(lim.elements, key=lambda fam: [canon_key(fam[i]) for i in flat]):
+        out.append(PresheafMap(X, Y, {
+            c: FinFn(Xc, Yc, tuple([(x, fam[i]) for x, i in zip(Xc.elements, at_c)]))
+            for c, Xc, Yc, at_c in plan
+        }))
     return out
 
 
@@ -339,47 +357,64 @@ def presheaf_iso(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None) -
 # exponentials
 
 
-def exponential(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None):
-    """(Y^X)(c) = Nat(y_c x X, Y), action by precomposition.
+def precompose_families(fams: FinSet, out: FinSet, src: Presheaf, tgt: Presheaf,
+                        along) -> FinFn:
+    """fams -> out: the encoding of each natural alpha: tgt -> Y goes to the
+    encoding of alpha . g, where g: src -> tgt sends s in src(e) to
+    along(e, s).  Encodings list components in base-object order and each
+    component in its carrier's order, so alpha . g is read off alpha's
+    encoding by position, without rebuilding alpha."""
+    plan = []
+    for e in src.base.objects:
+        index = {t: i for i, t in enumerate(tgt.at[e].elements)}
+        plan.append((e, [(s, index[along(e, s)]) for s in src.at[e].elements]))
+    return FinFn(fams, out, tuple([
+        (enc, tuple([(e, tuple([(s, comp[i][1]) for s, i in sel]))
+                     for (e, sel), (_, comp) in zip(plan, enc)]))
+        for enc in fams.elements
+    ]))
 
-    Returns (E, ev) where ev: E x X -> Y evaluates at the identity.
-    Elements of E are the canonical encodings of the natural families.
-    """
+
+def exponential_presheaf(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None) -> Presheaf:
+    """Y^X alone: (Y^X)(c) = Nat(y_c x X, Y), action by precomposition.
+
+    Elements of E(c) are the canonical encodings of the natural families, in
+    canonical order.  Callers that only need the object call this;
+    `exponential` adds the evaluation map on top of it."""
     if X.base != Y.base:
         raise ShapeMismatch("exponential requires a common base")
     b = ensure_budget(budget, "exponential")
     C = X.base
-    maps_at: dict = {}
     prod_at: dict = {}
+    at: dict = {}
     for c in C.objects:
-        P, _, _ = product_presheaf(yoneda(C, c), X)
-        prod_at[c] = P
-        fams = nat_transformations(P, Y, b)
-        maps_at[c] = {m.encoding(): m for m in fams}
-    at = {c: FinSet.of(maps_at[c].keys()) for c in C.objects}
+        P = prod_at[c] = product_presheaf(yoneda(C, c), X)[0]
+        # nat_transformations returns the families sorted by their encodings
+        at[c] = FinSet(tuple([m.encoding() for m in nat_transformations(P, Y, b)]))
     act = {}
     for f in C.morphisms:
         c, d = C.dom[f], C.cod[f]  # f: c -> d; E(f): E(d) -> E(c)
-        table = {}
-        for enc, alpha in maps_at[d].items():
-            comps = {}
-            for e in C.objects:
-                tbl = {}
-                for (h, x) in prod_at[c].at[e]:
-                    tbl[(h, x)] = alpha.components[e]((C.compose(f, h), x))
-                comps[e] = FinFn.of(prod_at[c].at[e], Y.at[e], tbl)
-            alpha_f = PresheafMap(prod_at[c], Y, comps)
-            table[enc] = alpha_f.encoding()
-        act[f] = FinFn.of(at[d], at[c], table)
-    E = Presheaf(C, at, act)
+        act[f] = precompose_families(at[d], at[c], prod_at[c], prod_at[d],
+                                     lambda e, hx, f=f: (C.compose(f, hx[0]), hx[1]))
+    return Presheaf(C, at, act)
+
+
+def exponential(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None):
+    """(E, ev) for E = exponential_presheaf(X, Y), where ev: E x X -> Y
+    evaluates a family at the identity: ev(alpha, x) = alpha_c(id_c, x)."""
+    E = exponential_presheaf(X, Y, budget)
+    C = X.base
     EX, _, _ = product_presheaf(E, X)
     ev_comps = {}
-    for c in C.objects:
-        tbl = {}
-        for (enc, x) in EX.at[c]:
-            alpha = maps_at[c][enc]
-            tbl[(enc, x)] = alpha.components[c]((C.identity[c], x))
-        ev_comps[c] = FinFn.of(EX.at[c], Y.at[c], tbl)
+    for k, c in enumerate(C.objects):
+        i = C.identity[c]
+        pairs, last, alpha_c = [], None, None
+        # EX(c) runs family by family, so each family is decoded once here
+        for enc, x in EX.at[c].elements:
+            if enc is not last:
+                last, alpha_c = enc, dict(enc[k][1])
+            pairs.append(((enc, x), alpha_c[(i, x)]))
+        ev_comps[c] = FinFn(EX.at[c], Y.at[c], tuple(pairs))
     return E, PresheafMap(EX, Y, ev_comps)
 
 

@@ -33,6 +33,7 @@ from finitopos.presheaf import (
     elements_functor,
     empty_presheaf,
     exponential,
+    exponential_presheaf,
     nat_transformations,
     product_presheaf,
     pullback_presheaf,
@@ -142,7 +143,7 @@ def _pullback_presheaf():
     for P, Q, u in _preorder_maps():
         fu = embed_map(u, P, Q)
         for G in _graphs(4):
-            for f in vertex_maps_to_embedded(G.presheaf(), Q):
+            for f in vertex_maps_to_embedded(G.presheaf(), embed(Q)):
                 out.extend(pullback_presheaf(f, fu))
     return out
 
@@ -172,17 +173,23 @@ def _nat_transformations():
     return out
 
 
-def _exponential():
-    out = []
+def _exponential_inputs():
     for name in ("chain-2", "delta1"):
         C = fixtures.get_category(name)
         for X in _pieces(C)[:2]:
             for Y in _pieces(C)[:2]:
-                out.extend(exponential(X, Y))
+                yield X, Y
     for G in _graphs(3):
         for P in _preorders():
-            out.extend(exponential(G.presheaf(), embed(P)))
-    return out
+            yield G.presheaf(), embed(P)
+
+
+def _exponential():
+    return [v for X, Y in _exponential_inputs() for v in exponential(X, Y)]
+
+
+def _exponential_presheaf():
+    return [exponential_presheaf(X, Y) for X, Y in _exponential_inputs()]
 
 
 def _dependent_product():
@@ -271,7 +278,7 @@ def _preorder_reflection():
 
 def _vertex_maps_to_embedded():
     return [f for G in _graphs() for Q in _preorders()
-            for f in vertex_maps_to_embedded(G.presheaf(), Q)]
+            for f in vertex_maps_to_embedded(G.presheaf(), embed(Q))]
 
 
 def _preorders_of_size():
@@ -307,6 +314,7 @@ CASES = {
     "category_of_elements": _category_of_elements,
     "nat_transformations": _nat_transformations,
     "exponential": _exponential,
+    "exponential_presheaf": _exponential_presheaf,
     "dependent_product": _dependent_product,
     "restrict": _restrict,
     "lan": _lan,

@@ -125,7 +125,7 @@ def test_unit_universal_property():
         PG = G.presheaf()
         LG, unit = preorder_reflection(PG)
         for Q in enumerate_preorders(2):
-            maps_down = vertex_maps_to_embedded(PG, Q)
+            maps_down = vertex_maps_to_embedded(PG, embed(Q))
             mono = monotone_maps(LG, Q)
             factored = 0
             for m in mono:
@@ -142,7 +142,7 @@ def test_vertex_maps_agree_with_generic_nat_enumeration():
     # the fast path must agree with the generic presheaf machinery
     G = RefGraph.of(3, [(0, 1), (1, 2)])
     for Q in enumerate_preorders(2):
-        fast = vertex_maps_to_embedded(G.presheaf(), Q)
+        fast = vertex_maps_to_embedded(G.presheaf(), embed(Q))
         slow = nat_transformations(G.presheaf(), embed(Q))
         assert len(fast) == len(slow)
         assert {f.encoding() for f in fast} == {f.encoding() for f in slow}
@@ -206,6 +206,24 @@ def test_is_embedded_preorder_detects_defects():
     path = RefGraph.of(3, [(0, 1), (1, 2)]).presheaf()
     ok, why = is_embedded_preorder(path)
     assert not ok and "transitive" in why
+
+
+def test_is_embedded_preorder_names_the_edge_a_scan_of_all_pairs_finds():
+    """The missing edge named is the first one a scan of all pairs of the
+    relation finds, in the relation's own iteration order."""
+    failures = 0
+    for G in enumerate_graphs(4, 3):
+        X = G.presheaf()
+        pairs = [(X.act["d0"](e), X.act["d1"](e)) for e in X.at["E"]]
+        if len(set(pairs)) != len(pairs):
+            continue
+        rel = set(pairs) | {(v, v) for v in X.at["V"]}
+        expected = next((f"missing transitive edge {a!r} -> {c!r}"
+                         for (a, b) in rel for (b2, c) in rel
+                         if b2 == b and (a, c) not in rel), "")
+        assert is_embedded_preorder(X) == (not expected, expected)
+        failures += bool(expected)
+    assert failures > 10
 
 
 # ---------------------------------------------------------------------------

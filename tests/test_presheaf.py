@@ -6,12 +6,16 @@ filter, and exponentials against the currying bijection.
 """
 
 import itertools
+import random
 
 import pytest
 
 from finitopos import fixtures
+from finitopos.budget import Budget
 from finitopos.errors import InvalidStructure
+from finitopos.fincat import terminal_category
 from finitopos.finset import FinFn, FinSet
+from finitopos.graphpre import RefGraph, embed, enumerate_graphs, enumerate_preorders, preorders_of_size
 from finitopos.presheaf import (
     Presheaf,
     PresheafMap,
@@ -20,6 +24,7 @@ from finitopos.presheaf import (
     dependent_product,
     empty_presheaf,
     exponential,
+    exponential_presheaf,
     nat_transformations,
     presheaf_corpus,
     presheaf_iso,
@@ -141,6 +146,93 @@ def test_exponential_on_delta1_matches_currying():
     for Z in (yoneda(C, "V"), yoneda(C, "E")):
         ZX, _, _ = product_presheaf(Z, X)
         assert len(nat_transformations(ZX, Y)) == len(nat_transformations(Z, E))
+
+
+def _exponential_cases():
+    """Representables and the terminal presheaf on two fixtures, and seeded
+    (graph, embedded preorder) pairs."""
+    cases = []
+    for name in ("chain-2", "delta1"):
+        C = fixtures.get_category(name)
+        pieces = [yoneda(C, c) for c in C.objects] + [terminal_presheaf(C)]
+        cases += [(X, Y) for X in pieces for Y in pieces]
+    rng = random.Random(20210521)
+    pre = list(enumerate_preorders(2))
+    graphs = list(enumerate_graphs(2, 2))
+    for _ in range(6):
+        cases.append((rng.choice(graphs).presheaf(), embed(rng.choice(pre))))
+    return cases
+
+
+def test_exponential_presheaf_and_evaluation():
+    """exponential_presheaf builds exponential's E, and ev evaluates each
+    family at the identity, element by element."""
+    for X, Y in _exponential_cases():
+        E, ev = exponential(X, Y)
+        assert exponential_presheaf(X, Y) == E
+        C = X.base
+        for c in C.objects:
+            P, _, _ = product_presheaf(yoneda(C, c), X)
+            fams = {m.encoding(): m for m in nat_transformations(P, Y)}
+            assert list(fams) == list(E.at[c].elements)
+            comp = ev.components[c]
+            assert [k for k, _ in comp.mapping] == list(ev.source.at[c].elements)
+            assert comp.table == {
+                (enc, x): alpha.components[c]((C.identity[c], x))
+                for enc, alpha in fams.items() for x in X.at[c]
+            }
+
+
+def test_nat_transformations_out_of_a_large_presheaf():
+    """1 100 elements on the point category: the limit search takes one
+    step per element, deeper than Python's recursion limit."""
+    C = terminal_category()
+    X = Presheaf(C, {"pt": FinSet.of(range(1100))}, {})
+    fams = nat_transformations(X, terminal_presheaf(C))
+    assert len(fams) == 1
+    assert fams[0].components["pt"].mapping == tuple((i, "*") for i in range(1100))
+
+
+def test_nat_enumeration_budget_charges_are_pinned():
+    """One charge per candidate value tried, summed over calls that share a
+    budget.  The counts pin which candidates the search tries, so a change
+    to its order or to forcing shows here."""
+    C = fixtures.delta1_base()
+    G = RefGraph.of(3, [(0, 1), (1, 2), (2, 2)]).presheaf()
+    discrete, chain, indiscrete = (embed(P) for P in preorders_of_size(2))
+    b = Budget(10**6)
+    pairs = [(G, discrete), (G, indiscrete),
+             (product_presheaf(yoneda(C, "E"), G)[0], chain),
+             (yoneda(C, "E"), G), (G, G)]
+    got = []
+    for X, Y in pairs:
+        got.append((len(nat_transformations(X, Y, b)), b.spent))
+    assert got == [(2, 22), (8, 106), (10, 554), (6, 644), (20, 806)]
+
+
+def test_category_of_elements_matches_brute_force():
+    """Arrows from a scan of all pairs of elements, and the composite of
+    every composable pair of arrows."""
+    presheaves = [G.presheaf() for G in enumerate_graphs(2, 2)]
+    for name in ("chain-2", "m3"):
+        C = fixtures.get_category(name)
+        presheaves += [yoneda(C, c) for c in C.objects] + [terminal_presheaf(C)]
+    for P in presheaves:
+        C = P.base
+        el = category_of_elements(P)
+        cat, over = el.category, el.projection.mor_map
+        arrows = {
+            (phi, o1, o2)
+            for o1 in cat.objects for o2 in cat.objects
+            for phi in C.hom(el.decode[o1][0], el.decode[o2][0])
+            if P.act[phi](el.decode[o2][1]) == el.decode[o1][1]
+        }
+        assert {(over[n], cat.dom[n], cat.cod[n]) for n in cat.morphisms} == arrows
+        composites = {
+            (n2, n1): el.mor_id[(C.compose(over[n2], over[n1]), cat.dom[n1], cat.cod[n2])]
+            for n1 in cat.morphisms for n2 in cat.morphisms if cat.cod[n1] == cat.dom[n2]
+        }
+        assert cat.comp == composites
 
 
 def test_category_of_elements_delta1():
