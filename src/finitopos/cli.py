@@ -25,6 +25,22 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
+def _int_from(least: int, what: str):
+    """argparse type for an integer >= least: a negative bound names an empty
+    space that a search would claim to have exhausted, and a budget below 1
+    is spent before any work is done."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as a usage error
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be a {what} integer, got {text!r}")
+        return value
+    return integer
+
+
+_SIZE = _int_from(0, "non-negative")
+_POSITIVE = _int_from(1, "positive")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="finitopos",
@@ -34,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, out=True):
-        sp.add_argument("--budget", type=int, default=None,
+        sp.add_argument("--budget", type=_POSITIVE, default=None,
                         help="enumeration step budget (default from FINITOPOS_BUDGET or 10^6)")
         sp.add_argument("--expect", choices=["pass", "fail", "found", "not-found"],
                         default=None, help="assert the outcome; mismatches exit 1")
@@ -76,16 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
                                       "exp-ideal", "locally-connected", "lcc"])
     sp.add_argument("--fixture", required=True,
                     help="reflection fixture (category fixture for lcc)")
-    sp.add_argument("--bound", type=int, default=None, help="pair/square enumeration bound")
-    sp.add_argument("--carrier-bound", type=int, default=1,
+    sp.add_argument("--bound", type=_SIZE, default=None, help="pair/square enumeration bound")
+    sp.add_argument("--carrier-bound", type=_SIZE, default=1,
                     help="presheaf corpus carrier bound (locally-connected)")
     common(sp)
 
     sp = sub.add_parser("search", help="counterexample searches on reflexive graphs")
     sp.add_argument("which", choices=["sle-failure", "pi-witness", "sieve-witness"])
-    sp.add_argument("--max-vertices", type=int, default=None)
-    sp.add_argument("--max-edges", type=int, default=None)
-    sp.add_argument("--bound", type=int, default=None,
+    sp.add_argument("--max-vertices", type=_SIZE, default=None)
+    sp.add_argument("--max-edges", type=_SIZE, default=None)
+    sp.add_argument("--bound", type=_SIZE, default=None,
                     help="preorder size bound (pi/sieve searches)")
     common(sp)
 

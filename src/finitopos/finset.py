@@ -54,6 +54,9 @@ def canon_sort(elems: Iterable[Elem]) -> tuple:
 
 @dataclass(frozen=True)
 class FinSet:
+    """A finite set.  `FinSet(...)` trusts that its elements come in
+    canonical (`canon_key`) order; `FinSet.of` sorts them into it."""
+
     elements: tuple
 
     def __post_init__(self):
@@ -105,7 +108,7 @@ class FinFn:
 
     @staticmethod
     def identity(s: FinSet) -> "FinFn":
-        return FinFn.of(s, s, {x: x for x in s})
+        return FinFn(s, s, tuple([(x, x) for x in s.elements]))
 
     def violations(self) -> list:
         table = self.table

@@ -252,15 +252,20 @@ def _edge_pairs(G: Presheaf):
 
 
 def transitive_closure(carrier, pairs) -> frozenset:
-    rel = set(pairs) | {(x, x) for x in carrier}
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(rel):
-            for (b2, c) in list(rel):
-                if b2 == b and (a, c) not in rel:
-                    rel.add((a, c))
-                    changed = True
+    """(x, x) for x in carrier, and (a, c) for each c that a search along
+    the successor lists of `pairs` reaches from a in one or more steps."""
+    succ: dict = {}
+    for a, b in pairs:
+        succ.setdefault(a, []).append(b)
+    rel = {(x, x) for x in carrier}
+    for a, out in succ.items():
+        reached, todo = set(), list(out)
+        while todo:
+            c = todo.pop()
+            if c not in reached:
+                reached.add(c)
+                todo.extend(succ.get(c, ()))
+        rel.update((a, c) for c in reached)
     return frozenset(rel)
 
 

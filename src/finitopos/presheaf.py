@@ -12,6 +12,10 @@ natural families, and its action transposes an encoding by position.
 `exponential(X, Y)` returns (Y^X, ev) and so also builds Y^X x X and the
 evaluation; callers that only need the object call the former.
 
+Products and pullbacks list their pairs x by x and, for each x, y by y,
+through carriers in canonical order, so the pairs come out in canonical
+order; they are built without a sort or a re-check.
+
 `Presheaf(...)` and `PresheafMap(...)` normalise their input but do not
 check it; `Presheaf.of`, `PresheafMap.of` and `validate()` check
 functoriality and naturality.  Only code that takes outside input (the DSL,
@@ -32,7 +36,7 @@ from .fincat import (
     Violation,
     opposite,
 )
-from .finset import FinFn, FinSet, SetDiagram, canon_key, canon_sort, limit
+from .finset import FinFn, FinSet, SetDiagram, canon_key, limit
 
 
 def ename(e) -> str:
@@ -195,51 +199,55 @@ def empty_presheaf(C: FinCategory) -> Presheaf:
 def yoneda(C: FinCategory, c: str) -> Presheaf:
     if c not in set(C.objects):
         raise ShapeMismatch(f"{c} is not an object")
-    at = {d: FinSet.of(C.hom(d, c)) for d in C.objects}
+    # hom-sets hold morphism names sorted as strings, which is canonical order
+    at = {d: FinSet(C.hom(d, c)) for d in C.objects}
     act = {}
     for f in C.morphisms:
         d, e = C.dom[f], C.cod[f]
-        act[f] = FinFn.of(at[e], at[d], {h: C.compose(h, f) for h in at[e]})
+        act[f] = FinFn(at[e], at[d], tuple([(h, C.compose(h, f)) for h in at[e].elements]))
     return Presheaf(C, at, act)
+
+
+def _pairs_presheaf(X: Presheaf, Y: Presheaf, pairs: dict):
+    """(P, p1, p2) for the subpresheaf P of X x Y on `pairs[o]` at each o,
+    listed x by x and, for each x, y by y, so already in canonical order."""
+    C = X.base
+    at = {o: FinSet(tuple(pairs[o])) for o in C.objects}
+    act = {}
+    for m in C.morphisms:
+        xt, yt = X.act[m].table, Y.act[m].table
+        src = at[C.cod[m]]
+        act[m] = FinFn(src, at[C.dom[m]],
+                       tuple([(p, (xt[p[0]], yt[p[1]])) for p in src.elements]))
+    P = Presheaf(C, at, act)
+    return (P,) + tuple(
+        PresheafMap(P, Z, {o: FinFn(at[o], Z.at[o], tuple([(p, p[i]) for p in at[o].elements]))
+                           for o in C.objects})
+        for i, Z in enumerate((X, Y)))
 
 
 def product_presheaf(X: Presheaf, Y: Presheaf):
     """Pointwise product; elements are (x, y) pairs.  Returns (P, p1, p2)."""
     if X.base != Y.base:
         raise ShapeMismatch("product across different bases")
-    C = X.base
-    at = {o: FinSet.of((x, y) for x in X.at[o] for y in Y.at[o]) for o in C.objects}
-    act = {
-        m: FinFn.of(at[C.cod[m]], at[C.dom[m]],
-                    {(x, y): (X.act[m](x), Y.act[m](y)) for (x, y) in at[C.cod[m]]})
-        for m in C.morphisms
-    }
-    P = Presheaf(C, at, act)
-    p1 = PresheafMap(P, X, {o: {(x, y): x for (x, y) in at[o]} for o in C.objects})
-    p2 = PresheafMap(P, Y, {o: {(x, y): y for (x, y) in at[o]} for o in C.objects})
-    return P, p1, p2
+    return _pairs_presheaf(X, Y, {
+        o: [(x, y) for x in X.at[o].elements for y in Y.at[o].elements]
+        for o in X.base.objects
+    })
 
 
 def pullback_presheaf(f: PresheafMap, g: PresheafMap):
     """Pointwise pullback of the cospan f: X -> Z <- Y :g.  Returns (P, p1, p2)."""
-    if f.target.encoding() != g.target.encoding():
+    if f.target is not g.target and f.target.encoding() != g.target.encoding():
         raise ShapeMismatch("pullback requires a cospan")
-    X, Y = f.source, g.source
-    C = X.base
-    at = {
-        o: FinSet.of((x, y) for x in X.at[o] for y in Y.at[o]
-                     if f.components[o](x) == g.components[o](y))
-        for o in C.objects
-    }
-    act = {
-        m: FinFn.of(at[C.cod[m]], at[C.dom[m]],
-                    {(x, y): (X.act[m](x), Y.act[m](y)) for (x, y) in at[C.cod[m]]})
-        for m in C.morphisms
-    }
-    P = Presheaf(C, at, act)
-    p1 = PresheafMap(P, X, {o: {(x, y): x for (x, y) in at[o]} for o in C.objects})
-    p2 = PresheafMap(P, Y, {o: {(x, y): y for (x, y) in at[o]} for o in C.objects})
-    return P, p1, p2
+    pairs = {}
+    for o in f.source.base.objects:
+        # Y(o) split into the fibers of g, each in Y(o)'s order
+        fiber: dict = {}
+        for y, z in g.components[o].mapping:
+            fiber.setdefault(z, []).append(y)
+        pairs[o] = [(x, y) for x, z in f.components[o].mapping for y in fiber.get(z, ())]
+    return _pairs_presheaf(f.source, g.source, pairs)
 
 
 # ---------------------------------------------------------------------------

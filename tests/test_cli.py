@@ -158,6 +158,30 @@ def test_search_budget_exhaustion_is_inconclusive(capsys):
     assert code == EXIT_INCONCLUSIVE
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "sle-failure", "--max-vertices", "-1"],
+    ["search", "sle-failure", "--max-edges", "-1"],
+    ["search", "pi-witness", "--bound", "-1"],
+    ["search", "sieve-witness", "--max-vertices", "-1"],
+    ["check", "sle", "--fixture", "lattice-3-2", "--bound", "-1"],
+])
+def test_negative_bound_is_usage_error(argv, capsys):
+    # a negative bound names an empty space, which a search would then
+    # claim to have exhausted
+    assert main(argv) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "NOT-FOUND" not in out and "PASS" not in out
+    assert "error:" in err and "non-negative integer" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_budget_is_usage_error(value, capsys):
+    assert main(["search", "sle-failure", "--budget", value]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "INCONCLUSIVE" not in out
+    assert "error:" in err and "positive integer" in err
+
+
 def test_pi_command_roundtrip(tmp_path, capsys):
     from finitopos import fixtures
     from finitopos.presheaf import PresheafMap, nat_transformations, terminal_presheaf, yoneda

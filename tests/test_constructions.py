@@ -6,6 +6,10 @@ and over seeded small graphs and preorders, and asserts that `violations()`
 finds nothing wrong with any of them.  A construction that broke
 functoriality, naturality or a composition table would pass every search
 unnoticed, so this is the check that stands in for validating at run time.
+
+It also asserts that every presheaf carrier is in canonical order, which
+`violations()` does not check: `FinSet(...)` trusts it, and products and
+pullbacks rely on it to build their pairs in canonical order unsorted.
 """
 
 import random
@@ -14,6 +18,7 @@ import pytest
 
 from finitopos import fixtures, kan
 from finitopos.fincat import comma_from_object, opposite, poset_category, terminal_category
+from finitopos.finset import canon_sort
 from finitopos.graphpre import (
     RefGraph,
     embed,
@@ -27,6 +32,8 @@ from finitopos.graphpre import (
     vertex_maps_to_embedded,
 )
 from finitopos.presheaf import (
+    Presheaf,
+    PresheafMap,
     _over_to_elements,
     category_of_elements,
     dependent_product,
@@ -332,6 +339,14 @@ CASES = {
 }
 
 
+def _presheaves(v):
+    if isinstance(v, Presheaf):
+        return [v]
+    if isinstance(v, PresheafMap):
+        return [v.source, v.target]
+    return []
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_internal_construction_is_valid(name):
     values = CASES[name]()
@@ -339,3 +354,6 @@ def test_internal_construction_is_valid(name):
     for v in values:
         bad = v.violations()
         assert not bad, f"{name}: {v!r}: {bad[:3]}"
+        for P in _presheaves(v):
+            for o, s in P.at.items():
+                assert s.elements == canon_sort(s.elements), f"{name}: {P!r}: carrier at {o} out of order"

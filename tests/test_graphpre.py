@@ -5,6 +5,8 @@ dedup, and direct count comparisons against the generic presheaf machinery."""
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from finitopos import checks
 from finitopos.errors import InvalidStructure
@@ -29,6 +31,7 @@ from finitopos.graphpre import (
     reflect,
     reflect_map,
     reverify_graph_witness,
+    transitive_closure,
     vertex_maps_to_embedded,
 )
 from finitopos.verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS
@@ -224,6 +227,49 @@ def test_is_embedded_preorder_names_the_edge_a_scan_of_all_pairs_finds():
         assert is_embedded_preorder(X) == (not expected, expected)
         failures += bool(expected)
     assert failures > 10
+
+
+def _closure_by_fixpoint(carrier, pairs) -> frozenset:
+    """Reference closure: rescan all pairs of the relation, adding (a, c)
+    for each (a, b), (b, c), until a pass adds nothing."""
+    rel = set(pairs) | {(x, x) for x in carrier}
+    changed = True
+    while changed:
+        changed = False
+        for (a, b) in list(rel):
+            for (b2, c) in list(rel):
+                if b2 == b and (a, c) not in rel:
+                    rel.add((a, c))
+                    changed = True
+    return frozenset(rel)
+
+
+def test_transitive_closure_matches_fixpoint_on_enumerated_graphs():
+    for G in enumerate_graphs(3, 3):
+        X = G.presheaf()
+        carrier = list(X.at["V"])
+        pairs = [(X.act["d0"](e), X.act["d1"](e)) for e in X.at["E"]]
+        assert transitive_closure(carrier, pairs) == _closure_by_fixpoint(carrier, pairs), G
+
+
+@st.composite
+def _edge_lists(draw):
+    """(vertices, edges) on up to 6 vertices; edges may repeat, loop and
+    close cycles."""
+    n = draw(st.integers(0, 6))
+    if n == 0:
+        return [], []
+    v = st.integers(0, n - 1)
+    return list(range(n)), draw(st.lists(st.tuples(v, v), max_size=14))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+@example(([0, 1, 2, 3, 4, 5], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]))
+@example(([0, 1, 2, 3], [(0, 1), (1, 2), (2, 0), (2, 0), (3, 3), (2, 3)]))
+def test_transitive_closure_matches_fixpoint(graph):
+    carrier, pairs = graph
+    assert transitive_closure(carrier, pairs) == _closure_by_fixpoint(carrier, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from finitopos import fixtures
 from finitopos.budget import Budget
-from finitopos.errors import InvalidStructure
+from finitopos.errors import InvalidStructure, ShapeMismatch
 from finitopos.fincat import terminal_category
 from finitopos.finset import FinFn, FinSet
 from finitopos.graphpre import RefGraph, embed, enumerate_graphs, enumerate_preorders, preorders_of_size
@@ -123,6 +123,78 @@ def test_product_and_pullback_pointwise():
     W, q1, q2 = pullback_presheaf(f, g)
     for c in C.objects:
         assert len(W.at[c]) == len(P.at[c])  # pullback over terminal = product
+
+
+def _pairs_reference(X, Y, keep):
+    """The subpresheaf of X x Y on the pairs that `keep(o, x, y)` accepts,
+    with its projections, sorted by FinSet.of and checked by FinFn.of."""
+    C = X.base
+    at = {o: FinSet.of((x, y) for x in X.at[o] for y in Y.at[o] if keep(o, x, y))
+          for o in C.objects}
+    act = {m: FinFn.of(at[C.cod[m]], at[C.dom[m]],
+                       {(x, y): (X.act[m](x), Y.act[m](y)) for x, y in at[C.cod[m]]})
+           for m in C.morphisms}
+    P = Presheaf(C, at, act)
+    return (P,) + tuple(
+        PresheafMap(P, Z, {o: FinFn.of(at[o], Z.at[o], {p: p[i] for p in at[o]})
+                           for o in C.objects})
+        for i, Z in enumerate((X, Y)))
+
+
+def _mixed_presheaves():
+    """Presheaves on chain-2 whose carriers mix ints, strings and nested
+    tuples (exponential encodings among them), some of them empty."""
+    C = fixtures.get_category("chain-2")
+
+    def make(c0, c1, act):  # act at m_c0_c1: P(c1) -> P(c0)
+        at = {"c0": FinSet.of(c0), "c1": FinSet.of(c1)}
+        return Presheaf.of(C, at, {"m_c0_c1": FinFn.of(at["c1"], at["c0"], act)})
+
+    return [
+        make([0, "a", ("b", (1, "c"))], [2, "z", (("y",), 3)],
+             {2: 0, "z": ("b", (1, "c")), (("y",), 3): 0}),
+        make([10, "a"], [], {}),
+        make([("n", ((0,),)), 7], [("n", ((0,),)), "q", -1],
+             {("n", ((0,),)): ("n", ((0,),)), "q": 7, -1: 7}),
+        exponential_presheaf(yoneda(C, "c1"), yoneda(C, "c0")),
+        exponential_presheaf(terminal_presheaf(C), yoneda(C, "c0")),
+        terminal_presheaf(C),
+        empty_presheaf(C),
+    ]
+
+
+def test_product_and_pullback_equal_a_sorted_and_checked_reference():
+    """Pairs built in nested carrier order come out in canonical order, so
+    the direct builders give what FinSet.of and FinFn.of would."""
+    pieces = _mixed_presheaves()
+    for X in pieces:
+        for Y in pieces:
+            assert product_presheaf(X, Y) == _pairs_reference(X, Y, lambda o, x, y: True)
+    pullbacks = 0
+    for Z in pieces[:3] + pieces[-2:]:
+        maps = {id(X): nat_transformations(X, Z)[:3] for X in pieces}
+        for X in pieces:
+            for Y in pieces:
+                for f in maps[id(X)]:
+                    for g in maps[id(Y)]:
+                        def keep(o, x, y, f=f, g=g):
+                            return f.components[o](x) == g.components[o](y)
+                        assert pullback_presheaf(f, g) == _pairs_reference(X, Y, keep)
+                        pullbacks += 1
+    assert pullbacks > 100
+
+
+def test_pullback_of_maps_into_different_targets_raises():
+    C = fixtures.get_category("chain-2")
+    X, T = yoneda(C, "c0"), terminal_presheaf(C)
+    f = nat_transformations(X, T)[0]
+    g = nat_transformations(X, yoneda(C, "c1"))[0]
+    with pytest.raises(ShapeMismatch):
+        pullback_presheaf(f, g)
+    # an equal target that is a different object is still a cospan
+    h = nat_transformations(X, terminal_presheaf(C))[0]
+    assert h.target is not f.target
+    assert pullback_presheaf(f, h) == pullback_presheaf(f, f)
 
 
 def test_exponential_currying_bijection():
