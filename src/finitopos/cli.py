@@ -308,9 +308,12 @@ def cmd_check(args) -> int:
         verdict = checks.check_exponential_ideal(R, args.bound)
     else:  # locally-connected
         verdict = checks.check_locally_connected(
-            R.L, bound=args.bound or 200, carrier_bound=args.carrier_bound)
-    return _emit(args, verdict, bounds={"fixture": args.fixture,
-                                        **({"bound": args.bound} if args.bound else {})})
+            R.L, bound=args.bound if args.bound is not None else 200,
+            carrier_bound=args.carrier_bound)
+    bounds = {"fixture": args.fixture}
+    if args.bound is not None:
+        bounds["bound"] = args.bound
+    return _emit(args, verdict, bounds=bounds)
 
 
 def cmd_search(args) -> int:

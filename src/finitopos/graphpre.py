@@ -6,6 +6,12 @@ A reflexive graph here is (n, edges): n vertices v0..v{n-1}, one distinguished
 loop per vertex, plus a multiset of extra directed edges (parallel edges and
 extra loops allowed).  A preorder embeds as the graph with exactly one edge
 per related pair, the distinguished loops being the reflexivity edges.
+
+The reflection L reads only a graph's vertices and its edge relation.  So
+the SLE search tests each square, and the product sweep each pair, on
+(vertices, edge pairs) built by one relational pullback (`_pullback_relation`),
+with no presheaf.  The generic presheaf pullback stays the oracle: it
+re-tests each square the search reports as a FAIL, and replay uses it.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import Budget, ensure_budget
-from .errors import BudgetExceeded, InvalidStructure, ShapeMismatch
+from .errors import BudgetExceeded, FinitoposError, InvalidStructure, ShapeMismatch
 from .finset import FinFn, FinSet, canon_key
 from .presheaf import (
     Presheaf,
@@ -23,7 +29,6 @@ from .presheaf import (
     dependent_product,
     exponential_presheaf,
     nat_transformations,
-    product_presheaf,
     pullback_presheaf,
 )
 from .verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS, MediatorAnalysis, Verdict, WitnessSquare
@@ -291,22 +296,62 @@ def reflect_map(f: PresheafMap) -> dict:
     return {v: f.components["V"](v) for v in f.source.at["V"]}
 
 
+def _index_by_image(verts, pairs, u: dict):
+    """The leg P -> Q of a relational pullback, for u: P -> Q: u's fibers
+    over `verts` and P's edge `pairs` grouped by image pair (u a, u b), each
+    in the order given.  Built once per u and shared by every square over it."""
+    fiber: dict = {}
+    for p in verts:
+        fiber.setdefault(u[p], []).append(p)
+    over: dict = {}
+    for a, b in pairs:
+        over.setdefault((u[a], u[b]), []).append((a, b))
+    return fiber, over
+
+
+def _pullback_relation(verts, pairs, w: dict, fiber: dict, over: dict):
+    """(vertices, edge pairs) of the pullback of graphs X -> Q <- P, from X's
+    `verts` and edge `pairs`, its vertex map w and `_index_by_image` of the
+    other leg.  Vertices are (x, p) with w x = u p, x by x and each fiber in
+    P's order, as pullback_presheaf lists them; the edge pairs are
+    ((s, a), (t, b)) for each edge (s, t) of X and each (a, b) over
+    (w s, w t).  Q must have one edge per related pair, as an embedded
+    preorder or the one-vertex graph does."""
+    return ([(x, p) for x in verts for p in fiber.get(w[x], ())],
+            [((s, a), (t, b)) for s, t in pairs for a, b in over.get((w[s], w[t]), ())])
+
+
+def _product_relation(G: Presheaf, H: Presheaf):
+    """(vertices, edge pairs) of G x H, the pullback over the one-vertex
+    graph: every vertex and edge goes to its single vertex, None."""
+    gv, hv = list(G.at["V"]), list(H.at["V"])
+    return _pullback_relation(gv, _edge_pairs(G), dict.fromkeys(gv),
+                              *_index_by_image(hv, _edge_pairs(H), dict.fromkeys(hv)))
+
+
+def _edge_respecting_maps(verts, pairs, targets, related) -> list:
+    """Each map w: verts -> targets, as a dict, with (w a, w b) in `related`
+    for every (a, b) in `pairs`; in the order of itertools.product."""
+    out = []
+    for values in itertools.product(targets, repeat=len(verts)):
+        w = dict(zip(verts, values))
+        if all((w[a], w[b]) in related for (a, b) in pairs):
+            out.append(w)
+    return out
+
+
+def _graph_map(G: Presheaf, FQ: Presheaf, w: dict) -> PresheafMap:
+    """The graph map G -> FQ = embed(Q) of an edge-respecting vertex map w."""
+    d0, d1 = G.act["d0"].table, G.act["d1"].table
+    return PresheafMap(G, FQ, {"V": w, "E": {e: (w[d0[e]], w[d1[e]]) for e in G.at["E"]}})
+
+
 def vertex_maps_to_embedded(G: Presheaf, FQ: Presheaf):
     """Graph maps G -> FQ for FQ = embed(Q) already built.  They biject with
     edge-respecting vertex maps, since FQ has one edge per related pair."""
-    out = []
-    verts = list(G.at["V"])
-    pairs = _edge_pairs(G)
-    related = FQ.at["E"]
-    for values in itertools.product(FQ.at["V"].elements, repeat=len(verts)):
-        w = dict(zip(verts, values))
-        if all((w[a], w[b]) in related for (a, b) in pairs):
-            comps = {
-                "V": w,
-                "E": {e: (w[G.act["d0"](e)], w[G.act["d1"](e)]) for e in G.at["E"]},
-            }
-            out.append(PresheafMap(G, FQ, comps))
-    return out
+    return [_graph_map(G, FQ, w)
+            for w in _edge_respecting_maps(list(G.at["V"]), _edge_pairs(G),
+                                           FQ.at["V"].elements, FQ.at["E"])]
 
 
 def is_embedded_preorder(X: Presheaf):
@@ -345,23 +390,24 @@ def _graph_and_reflection(G: RefGraph) -> tuple[Presheaf, Preorder]:
 def product_reflection_agrees(G: RefGraph, H: RefGraph) -> tuple[bool, dict]:
     """L(G x H) vs LG x LH via the canonical vertex-identity comparison.
 
-    Each graph's presheaf and reflection come from a bounded cache keyed by
-    the graph, so a sweep computes them once per graph, not once per pair;
-    only the product and its reflection are built per pair."""
+    L reads only vertices and edges, so G x H is built as a relation: the
+    pullback over the one-vertex graph, by the same helper the SLE search
+    uses, with no presheaf.  Each graph's presheaf and reflection come from
+    a bounded cache keyed by the graph, so a sweep computes them once per
+    graph, not once per pair."""
     PG, LG = _graph_and_reflection(G)
     PH, LH = _graph_and_reflection(H)
-    prod, _, _ = product_presheaf(PG, PH)
-    left = reflect(prod)
+    left = transitive_closure(*_product_relation(PG, PH))
     right = frozenset(
         ((g1, h1), (g2, h2))
         for (g1, g2) in LG.rel for (h1, h2) in LH.rel
     )
-    ok = left.rel == right
+    ok = left == right
     info = {}
     if not ok:
         info = {
-            "only_left": sorted(map(repr, left.rel - right)),
-            "only_right": sorted(map(repr, right - left.rel)),
+            "only_left": sorted(map(repr, left - right)),
+            "only_right": sorted(map(repr, right - left)),
         }
     return ok, info
 
@@ -448,21 +494,29 @@ def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 
 # semi-left-exactness failure search (the decisive certificate)
 
 
-def _sle_instance_fails(P: Preorder, LX: Preorder, fu: PresheafMap, f: PresheafMap):
-    """Test one candidate square, the pullback of f: X -> F Q along
-    fu = F u: F P -> F Q, where LX = reflect(X); returns None or failure data."""
-    W, _, _ = pullback_presheaf(f, fu)
-    LW = reflect(W)
+def _sle_relation_fails(P: Preorder, LX: Preorder, verts, pairs):
+    """Test one candidate square from its pullback W's vertices and edge
+    pairs alone: is L W, their reflexive-transitive closure, the preorder
+    pullback of LX and P?  Returns None or failure data."""
+    rel = transitive_closure(verts, pairs)
     # pullback of preorders: pairs with matching images, componentwise order
     pb_rel = frozenset(
         (w1, w2)
-        for w1 in LW.carrier for w2 in LW.carrier
+        for w1 in verts for w2 in verts
         if LX.leq(w1[0], w2[0]) and P.leq(w1[1], w2[1])
     )
-    if LW.rel == pb_rel:
+    if rel == pb_rel:
         return None
-    missing = sorted(pb_rel - LW.rel, key=canon_key)
-    return {"missing": missing, "LW": LW, "pb_rel": pb_rel}
+    missing = sorted(pb_rel - rel, key=canon_key)
+    return {"missing": missing, "LW": Preorder(verts, rel), "pb_rel": pb_rel}
+
+
+def _sle_instance_fails(P: Preorder, LX: Preorder, fu: PresheafMap, f: PresheafMap):
+    """Test one candidate square, the pullback of f: X -> F Q along
+    fu = F u: F P -> F Q, where LX = reflect(X), through the generic
+    presheaf pullback; returns None or failure data."""
+    W, _, _ = pullback_presheaf(f, fu)
+    return _sle_relation_fails(P, LX, list(W.at["V"]), _edge_pairs(W))
 
 
 def find_sle_failure(max_v: int = 4, max_e: int = 8,
@@ -481,16 +535,22 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
 
 
 def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
-    """Squares in the order find_sle_failure promises; each value is built
-    once for the inputs it depends on:
+    """Squares in the order find_sle_failure promises.  L reads only a
+    graph's vertices and edges, so each square is tested on relations: the
+    pullback's vertices and edge pairs (`_pullback_relation`), with no
+    presheaf built.  A hit is confirmed by the generic presheaf pullback
+    (`_sle_instance_fails`, which replay uses too), whose data the witness
+    is built from; if the two disagree the search raises.  Each value is
+    built once for the inputs it depends on:
     - each preorder of each size up to max_v, with its embedding, once per
       search;
-    - the graphs X of one size, with their presheaves and reflections LX,
-      once per (total, nq, np, nx), and only once some u: P -> Q of those
-      sizes exists;
-    - the graph maps X -> embed(Q), from Q's embedding, once per X within
-      the loop over one Q;
-    - F u, once per (Q, P, u)."""
+    - the graphs X of one size, with their presheaves, reflections LX,
+      vertices and edge pairs, once per (total, nq, np, nx), and only once
+      some u: P -> Q of those sizes exists;
+    - the edge-respecting vertex maps X -> Q, once per X within the loop
+      over one Q;
+    - u's fibers and P's related pairs indexed by image pair, once per
+      (Q, P, u)."""
     embedded = [[(P, embed(P)) for P in preorders_of_size(n)] for n in range(max_v + 1)]
     tested = 0
     for total in range(max_total + 1):
@@ -505,26 +565,44 @@ def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
                         maps = {}
                         for P, FP in embedded[np_]:
                             for u in monotone_maps(P, Q):
-                                fu = embedded_map(u, FP, FQ)
+                                # embed(P) lists P.rel in canonical order
+                                fiber, over = _index_by_image(P.carrier, FP.at["E"].elements, u)
                                 if graphs is None:
-                                    graphs = [(X, PX, reflect(PX))
+                                    graphs = [(X, PX, reflect(PX), list(PX.at["V"]),
+                                               _edge_pairs(PX))
                                               for X in graphs_of_size(nx, ex)
                                               for PX in [X.presheaf()]]
-                                for X, PX, LX in graphs:
-                                    fs = maps.get(X)
-                                    if fs is None:
-                                        fs = maps[X] = vertex_maps_to_embedded(PX, FQ)
-                                    for f in fs:
+                                for X, PX, LX, xv, xp in graphs:
+                                    ws = maps.get(X)
+                                    if ws is None:
+                                        ws = maps[X] = _edge_respecting_maps(
+                                            xv, xp, Q.carrier, Q.rel)
+                                    for w in ws:
                                         b_.charge()
                                         tested += 1
-                                        bad = _sle_instance_fails(P, LX, fu, f)
+                                        bad = _sle_relation_fails(
+                                            P, LX, *_pullback_relation(xv, xp, w, fiber, over))
                                         if bad is not None:
+                                            f, bad = _confirm_sle_hit(
+                                                X, PX, LX, P, FP, FQ, u, w, bad)
                                             return _sle_witness_verdict(
                                                 X, P, Q, u, f, bad, tested,
                                                 {"max_v": max_v, "max_e": max_e})
     return Verdict("sle-failure-search", NOT_FOUND,
                    bounds={"max_v": max_v, "max_e": max_e},
                    stats={"squares": tested})
+
+
+def _confirm_sle_hit(X, PX, LX, P, FP, FQ, u, w, bad):
+    """(f, failure data) for a square the relational test failed, re-tested
+    through the generic presheaf pullback; raises FinitoposError if that
+    finds no failure or different failure data."""
+    f = _graph_map(PX, FQ, w)
+    confirmed = _sle_instance_fails(P, LX, embedded_map(u, FP, FQ), f)
+    if confirmed != bad:
+        raise FinitoposError(f"relational and presheaf pullbacks disagree on the square "
+                             f"X={X}, P={P.carrier}, u={u}, f={w}")
+    return f, confirmed
 
 
 def _sle_witness_verdict(X, P, Q, u, f, bad, tested, bounds) -> Verdict:
@@ -569,10 +647,7 @@ def reverify_graph_witness(w: dict) -> Verdict:
         u = {k: elem_from_json(v) for k, v in sq["u"].items()}
         PX = X.presheaf()
         fv = {k: elem_from_json(v) for k, v in sq["f"].items()}
-        f = PresheafMap.of(PX, embed(Q), {
-            "V": fv,
-            "E": {e: (fv[PX.act["d0"](e)], fv[PX.act["d1"](e)]) for e in PX.at["E"]},
-        })
+        f = _graph_map(PX, embed(Q), fv).validate()
         bad = _sle_instance_fails(P, reflect(PX), embed_map(u, P, Q).validate(), f)
         if bad is None:
             return Verdict("witness-replay", FAIL,
@@ -673,10 +748,7 @@ def _sieve_instance_verdict(A0: Preorder, B0: RefGraph, uv: dict, replay=False):
     is F(L u) a member, i.e. does it factor through u?"""
     PB = B0.presheaf()
     FA = embed(A0)
-    u = PresheafMap(PB, FA, {
-        "V": uv,
-        "E": {e: (uv[PB.act["d0"](e)], uv[PB.act["d1"](e)]) for e in PB.at["E"]},
-    })
+    u = _graph_map(PB, FA, uv)
     if replay:
         u.validate()
     FLB = embed(reflect(PB))

@@ -70,6 +70,16 @@ def test_check_pass_and_expect(capsys):
                  "--expect", "fail"]) == EXIT_MISMATCH
 
 
+def test_check_locally_connected_bound_zero_is_kept(tmp_path, capsys):
+    # --bound 0 names the empty square space; it must not fall back to 200
+    out = tmp_path / "r.json"
+    assert main(["check", "locally-connected", "--fixture", "lattice-3-2",
+                 "--bound", "0", "--out", str(out)]) == EXIT_OK
+    rep = json.loads(out.read_text())
+    assert rep["verdict"]["stats"]["squares"] == 0
+    assert rep["bounds"] == {"fixture": "lattice-3-2", "bound": 0}
+
+
 def test_check_inconclusive_exit(capsys):
     # delta1 lacks the products needed for the exponential-ideal sub-check
     assert main(["check", "exp-ideal", "--fixture", "delta1"]) == EXIT_INCONCLUSIVE

@@ -8,17 +8,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from finitopos import checks
-from finitopos.errors import InvalidStructure
-from finitopos.presheaf import nat_transformations
+from finitopos import checks, graphpre
+from finitopos.errors import FinitoposError, InvalidStructure
+from finitopos.presheaf import nat_transformations, product_presheaf, pullback_presheaf
 from finitopos.graphpre import (
     Preorder,
     RefGraph,
+    _edge_pairs,
     _graph_and_reflection,
+    _index_by_image,
+    _product_relation,
+    _pullback_relation,
+    _sle_instance_fails,
+    _sle_relation_fails,
     check_exponential_ideal_graphs,
     check_product_preservation,
     embed,
     embed_map,
+    embedded_map,
     enumerate_graphs,
     enumerate_preorders,
     find_sle_failure,
@@ -173,6 +180,40 @@ def test_product_reflection_agrees_spot_checks():
     assert ok, info
 
 
+def _assert_product_relation_is_presheaf_product(G, H):
+    PG, PH = G.presheaf(), H.presheaf()
+    prod, _, _ = product_presheaf(PG, PH)
+    verts, pairs = _product_relation(PG, PH)
+    # the same vertices and edge pairs, in the same order
+    assert (verts, pairs) == (list(prod.at["V"]), _edge_pairs(prod)), (G, H)
+    assert Preorder(verts, transitive_closure(verts, pairs)) == reflect(prod), (G, H)
+
+
+def test_product_relation_matches_presheaf_product_on_enumerated_pairs():
+    graphs = list(enumerate_graphs(2, 3))
+    for G in graphs:
+        for H in graphs:
+            _assert_product_relation_is_presheaf_product(G, H)
+
+
+@st.composite
+def _ref_graphs(draw):
+    """Graphs on up to 4 vertices whose extra edges may repeat and loop."""
+    n = draw(st.integers(0, 4))
+    if n == 0:
+        return RefGraph.of(0, [])
+    v = st.integers(0, n - 1)
+    return RefGraph.of(n, draw(st.lists(st.tuples(v, v), max_size=6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ref_graphs(), _ref_graphs())
+@example(RefGraph.of(2, [(0, 1), (0, 1), (1, 1)]),
+         RefGraph.of(3, [(0, 2), (1, 1), (1, 1), (2, 0)]))
+def test_product_relation_matches_presheaf_product(G, H):
+    _assert_product_relation_is_presheaf_product(G, H)
+
+
 def test_product_preservation_sweep_small():
     v = check_product_preservation(max_v=2, max_e=3, random_pairs=20)
     assert v.outcome == PASS, v.summary()
@@ -301,6 +342,72 @@ def test_sle_failure_found(sle_verdict):
     assert sq["f"] == {"v0": ["s", "v0"], "v1": ["s", "v1"], "v2": ["s", "v0"]}
     assert w["l_image"]["missing_relations"] == [
         [["t", [["s", "v0"], ["s", "v0"]]], ["t", [["s", "v2"], ["s", "v0"]]]]]
+
+
+def _sle_squares(max_v, max_e):
+    """Every square of find_sle_failure's space in the order it promises,
+    as (P, FP, u, X, LX, f, fu), with f and fu as presheaf maps."""
+    graphs, maps = {}, {}
+    embedded = {n: [(P, embed(P)) for P in preorders_of_size(n)] for n in range(max_v + 1)}
+    for total in range(3 * max_v + max_e + 1):
+        for nq, np_, nx in itertools.product(range(max_v + 1), repeat=3):
+            ex = total - nq - np_ - nx
+            if not 0 <= ex <= max_e:
+                continue
+            if (nx, ex) not in graphs:
+                graphs[nx, ex] = [(X, X.presheaf()) for X in graphs_of_size(nx, ex)]
+            for Q, FQ in embedded[nq]:
+                for P, FP in embedded[np_]:
+                    for u in monotone_maps(P, Q):
+                        fu = embedded_map(u, FP, FQ)
+                        for X, PX in graphs[nx, ex]:
+                            if (X, Q) not in maps:
+                                maps[X, Q] = vertex_maps_to_embedded(PX, FQ)
+                            for f in maps[X, Q]:
+                                yield P, FP, u, X, reflect(PX), f, fu
+
+
+@pytest.mark.parametrize("max_v, max_e, squares, first_hit", [(2, 4, 5321, False),
+                                                              (3, 2, 13251, True)])
+def test_relational_square_test_matches_presheaf_pullback(max_v, max_e, squares, first_hit):
+    """On every square of the (2, 4) space, and of the (3, 2) space up to
+    its first hit, the relational pullback lists the presheaf pullback's
+    vertices and edge pairs in its order, and the relational test gives the
+    outcome, missing relations, L W and preorder pullback of
+    _sle_instance_fails."""
+    tested = 0
+    for P, FP, u, X, LX, f, fu in _sle_squares(max_v, max_e):
+        tested += 1
+        w = reflect_map(f)
+        fiber, over = _index_by_image(P.carrier, FP.at["E"].elements, u)
+        verts, pairs = _pullback_relation(list(f.source.at["V"]), _edge_pairs(f.source),
+                                          w, fiber, over)
+        W, _, _ = pullback_presheaf(f, fu)
+        assert (verts, pairs) == (list(W.at["V"]), _edge_pairs(W))
+        engine = _sle_instance_fails(P, LX, fu, f)
+        assert _sle_relation_fails(P, LX, verts, pairs) == engine, (X, P, u, w)
+        if engine is not None:
+            break
+    assert (tested, engine is not None) == (squares, first_hit)
+
+
+def test_sle_search_raises_when_the_oracle_rejects_a_relational_hit(monkeypatch):
+    """A relational pullback that loses its edges reports failures on squares
+    of the (2, 2) space, all of which reflect to pullbacks; the presheaf
+    pullback does not confirm the first, so the search raises rather than
+    return FAIL."""
+    def edgeless(*args):
+        verts, _ = _pullback_relation(*args)
+        return verts, []
+    monkeypatch.setattr(graphpre, "_pullback_relation", edgeless)
+    with pytest.raises(FinitoposError, match="disagree"):
+        find_sle_failure(max_v=2, max_e=2)
+
+
+def test_sle_search_at_default_bounds_finds_the_minimal_square(sle_verdict):
+    v = find_sle_failure()
+    assert (v.outcome, v.stats, v.bounds) == (FAIL, {"squares": 47016}, {"max_v": 4, "max_e": 8})
+    assert v.witness.to_json()["square"] == sle_verdict.witness.to_json()["square"]
 
 
 @pytest.mark.parametrize("max_v, max_e, squares", [(2, 2, 1518), (2, 4, 5321)])
