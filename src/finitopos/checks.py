@@ -267,10 +267,13 @@ def check_exponential_ideal(R: Reflection, bound: int | None = None) -> Verdict:
 # ---------------------------------------------------------------------------
 # local connectedness (presheaf level)
 
+# dependent products check_locally_connected compares across L* once its
+# squares pass; each builds two Pi's and enumerates a Nat set
+PI_SPOT_CHECKS = 3
+
 
 def check_locally_connected(L: FinFunctor, bound: int = 200, carrier_bound: int = 1,
-                            budget: Budget | int | None = None,
-                            pi_spot_checks: int = 3) -> Verdict:
+                            budget: Budget | int | None = None) -> Verdict:
     """Diagram-(1) preservation for L! -| L* over a deterministic presheaf
     corpus, plus dependent-product spot checks for L* itself."""
     from . import kan
@@ -315,10 +318,7 @@ def check_locally_connected(L: FinFunctor, bound: int = 200, carrier_bound: int 
                                 for x in rB.output.at[obj]
                             ]
                             if len(set(image)) != len(image) or set(image) != pb_elems:
-                                from .report import (
-                                    presheaf_map_to_json,
-                                    presheaf_to_json,
-                                )
+                                from .report import presheaf_map_to_json
                                 w = WitnessSquare(
                                     square={
                                         "kind": "presheaf-square",
@@ -340,17 +340,17 @@ def check_locally_connected(L: FinFunctor, bound: int = 200, carrier_bound: int 
 
     pi_tested = 0
     for Y in corp_a:
-        if pi_tested >= pi_spot_checks:
+        if pi_tested >= PI_SPOT_CHECKS:
             break
         for X in corp_a:
-            if pi_tested >= pi_spot_checks:
+            if pi_tested >= PI_SPOT_CHECKS:
                 break
             for f in nat_transformations(X, Y, b_):
-                if pi_tested >= pi_spot_checks:
+                if pi_tested >= PI_SPOT_CHECKS:
                     break
                 for Z in corp_a:
                     for g in nat_transformations(Z, X, b_)[:1]:
-                        if pi_tested >= pi_spot_checks:
+                        if pi_tested >= PI_SPOT_CHECKS:
                             break
                         pi_tested += 1
                         up = dependent_product(f, g, b_)

@@ -148,14 +148,14 @@ def _expect_exit(verdict: Verdict, expect: str | None) -> int:
     return EXIT_OK if verdict.outcome == want else EXIT_MISMATCH
 
 
-def _emit(args, verdict: Verdict, bounds: dict, corpus_stats: dict | None = None) -> int:
+def _emit(args, verdict: Verdict, bounds: dict) -> int:
     print(verdict.summary())
     rep = report.make_report(
         command=_command_line(args),
         bounds=bounds,
         verdict=verdict,
         witness=verdict.to_json().get("witness"),
-        corpus_stats=corpus_stats or verdict.stats,
+        corpus_stats=verdict.stats,
     )
     if args.out is not None:
         args.out.write_text(json.dumps(rep, indent=2, sort_keys=True) + "\n")

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 from .errors import FinitoposError, InvalidStructure, SaturationOverflow, ShapeMismatch
 from .fincat import FinCategory, FinFunctor, FinNatTrans, Reflection, saturate_category
-from .finset import FinFn, FinSet, canon_key
-from .presheaf import Presheaf, PresheafMap
+from .finset import FinFn, FinSet
+from .presheaf import Presheaf
 
 KEYWORDS = {"category", "functor", "presheaf", "reflection", "on",
             "objects", "generators", "relations", "close", "at", "act",
@@ -30,6 +30,8 @@ KEYWORDS = {"category", "functor", "presheaf", "reflection", "on",
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 PUNCT = {"{", "}", ":", ";", ",", ".", "(", ")", "=", "->"}
+# where parsing resumes after a malformed declaration header
+DECLARATIONS = {"category", "functor", "presheaf", "reflection"}
 
 
 class SpecError(FinitoposError):
@@ -245,7 +247,7 @@ class _Parser:
             else:
                 self.error(f"expected a declaration, found {t.text!r}")
                 self.next()
-                self.skip_to({"category", "functor", "presheaf", "reflection"})
+                self.skip_to(DECLARATIONS)
                 continue
             if d is not None:
                 ast.decls.append(d)
@@ -254,9 +256,53 @@ class _Parser:
 
     def block_open(self) -> bool:
         if self.expect("{") is None:
-            self.skip_to({"category", "functor", "presheaf", "reflection"})
+            self.skip_to(DECLARATIONS)
             return False
         return True
+
+    def block(self, what: str, clauses: dict) -> None:
+        """Clauses up to the closing '}'.  A clause keyword is consumed and its
+        parser called; anything else is reported and skipped up to its ';'."""
+        while self.peek().kind != "eof" and self.peek().text != "}":
+            t = self.next()
+            clause = clauses.get(t.text)
+            if clause is not None:
+                clause()
+            else:
+                self.error(f"unexpected {t.text!r} in {what} block", t)
+                self.skip_to({";", "}"})
+                if self.peek().text == ";":
+                    self.next()
+        self.expect("}")
+
+    def listing(self, item, into: list) -> None:
+        """`: item, item, ... ;` after a clause keyword.  Each entry `item()`
+        returns is appended to `into`; at the first None the rest of the
+        clause is skipped."""
+        self.expect(":")
+        while True:
+            entry = item()
+            if entry is None:
+                self.skip_to({";", "}"})
+                break
+            into.append(entry)
+            if self.peek().text != ",":
+                break
+            self.next()
+        if self.peek().text == ";":
+            self.next()
+
+    def arrow(self, left, right):
+        """`left -> right` as the pair the two parsers return, or None once
+        one of them, or the '->', is missing."""
+        a = left()
+        if a is None or self.expect("->") is None:
+            return None
+        b = right()
+        return None if b is None else (a, b)
+
+    def object_ref(self) -> Token | None:
+        return self.ident("object")
 
     def category_decl(self):
         kw = self.next()
@@ -264,210 +310,135 @@ class _Parser:
         if name is None or not self.block_open():
             return None
         d = CategoryDecl(name.text, kw.line, kw.col)
-        while self.peek().kind != "eof" and self.peek().text != "}":
-            t = self.peek()
-            if t.text == "objects":
-                self.next()
-                self.expect(":")
-                while True:
-                    o = self.ident("object name")
-                    if o is None:
-                        self.skip_to({";", "}"})
-                        break
-                    d.objects.append((o.text, o.line, o.col))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-                if self.peek().text == ";":
-                    self.next()
-            elif t.text == "generators":
-                self.next()
-                self.expect(":")
-                while True:
-                    g = self.ident("generator name")
-                    if g is None or self.expect(":") is None:
-                        self.skip_to({";", "}"})
-                        break
-                    a = self.ident("object")
-                    if a is None or self.expect("->") is None:
-                        self.skip_to({";", "}"})
-                        break
-                    b = self.ident("object")
-                    if b is None:
-                        self.skip_to({";", "}"})
-                        break
-                    d.generators.append((g.text, a.text, b.text, g.line, g.col))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-                if self.peek().text == ";":
-                    self.next()
-            elif t.text == "relations":
-                self.next()
-                self.expect(":")
-                # one or more `word = word ;` until the next keyword or '}'
-                while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
-                    start = self.peek()
-                    lhs = self.word()
-                    if lhs is None or self.expect("=") is None:
-                        self.skip_to({";", "}"})
-                    else:
-                        rhs = self.word()
-                        if rhs is not None:
-                            d.relations.append((lhs, rhs, start.line, start.col))
-                        else:
-                            self.skip_to({";", "}"})
-                    if self.peek().text == ";":
-                        self.next()
-                    else:
-                        break
-            elif t.text == "close":
-                self.next()
-                self.expect(":")
-                v = self.peek()
-                if v.kind == "int":
-                    self.next()
-                    d.close = int(v.text)
-                else:
-                    self.error("expected an integer bound")
-                    self.skip_to({";", "}"})
-                if self.peek().text == ";":
-                    self.next()
-            else:
-                self.error(f"unexpected {t.text!r} in category block")
-                self.next()
-                self.skip_to({";", "}"})
-                if self.peek().text == ";":
-                    self.next()
-        self.expect("}")
+        self.block("category", {
+            "objects": lambda: self.listing(self.object_entry, d.objects),
+            "generators": lambda: self.listing(self.generator_entry, d.generators),
+            "relations": lambda: self.relations(d),
+            "close": lambda: self.close(d),
+        })
         return d
+
+    def object_entry(self):
+        o = self.ident("object name")
+        return None if o is None else (o.text, o.line, o.col)
+
+    def generator_entry(self):
+        g = self.ident("generator name")
+        if g is None or self.expect(":") is None:
+            return None
+        ends = self.arrow(self.object_ref, self.object_ref)
+        return None if ends is None else (g.text, ends[0].text, ends[1].text, g.line, g.col)
+
+    def relations(self, d: CategoryDecl) -> None:
+        self.expect(":")
+        # one or more `word = word ;` until the next keyword or '}'
+        while self.peek().kind == "ident" and self.peek().text not in KEYWORDS:
+            start = self.peek()
+            lhs = self.word()
+            if lhs is None or self.expect("=") is None:
+                self.skip_to({";", "}"})
+            else:
+                rhs = self.word()
+                if rhs is not None:
+                    d.relations.append((lhs, rhs, start.line, start.col))
+                else:
+                    self.skip_to({";", "}"})
+            if self.peek().text == ";":
+                self.next()
+            else:
+                break
+
+    def close(self, d: CategoryDecl) -> None:
+        self.expect(":")
+        v = self.peek()
+        if v.kind == "int":
+            self.next()
+            d.close = int(v.text)
+        else:
+            self.error("expected an integer bound")
+            self.skip_to({";", "}"})
+        if self.peek().text == ";":
+            self.next()
 
     def functor_decl(self):
         kw = self.next()
         name = self.ident("functor name")
         if name is None or self.expect(":") is None:
-            self.skip_to({"category", "functor", "presheaf", "reflection"})
+            self.skip_to(DECLARATIONS)
             return None
         src = self.ident("source category")
         if src is None or self.expect("->") is None:
-            self.skip_to({"category", "functor", "presheaf", "reflection"})
+            self.skip_to(DECLARATIONS)
             return None
         tgt = self.ident("target category")
         if tgt is None or not self.block_open():
             return None
         d = FunctorDecl(name.text, src.text, tgt.text, kw.line, kw.col,
                         (src.line, src.col), (tgt.line, tgt.col))
-        while self.peek().kind != "eof" and self.peek().text != "}":
-            t = self.peek()
-            if t.text == "objects":
-                self.next()
-                self.expect(":")
-                while True:
-                    x = self.ident("object")
-                    if x is None or self.expect("->") is None:
-                        self.skip_to({";", "}"})
-                        break
-                    y = self.ident("object")
-                    if y is None:
-                        self.skip_to({";", "}"})
-                        break
-                    d.objects.append((x.text, y.text, x.line, x.col))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-                if self.peek().text == ";":
-                    self.next()
-            elif t.text == "morphisms":
-                self.next()
-                self.expect(":")
-                while True:
-                    start = self.peek()
-                    w1 = self.word()
-                    if w1 is None or self.expect("->") is None:
-                        self.skip_to({";", "}"})
-                        break
-                    w2 = self.word()
-                    if w2 is None:
-                        self.skip_to({";", "}"})
-                        break
-                    d.morphisms.append((w1, w2, start.line, start.col))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-                if self.peek().text == ";":
-                    self.next()
-            else:
-                self.error(f"unexpected {t.text!r} in functor block")
-                self.next()
-                self.skip_to({";", "}"})
-                if self.peek().text == ";":
-                    self.next()
-        self.expect("}")
+        self.block("functor", {
+            "objects": lambda: self.listing(self.object_map_entry, d.objects),
+            "morphisms": lambda: self.listing(self.morphism_map_entry, d.morphisms),
+        })
         return d
+
+    def object_map_entry(self):
+        ends = self.arrow(self.object_ref, self.object_ref)
+        return None if ends is None else (ends[0].text, ends[1].text, ends[0].line, ends[0].col)
+
+    def morphism_map_entry(self):
+        start = self.peek()
+        ends = self.arrow(self.word, self.word)
+        return None if ends is None else (*ends, start.line, start.col)
 
     def presheaf_decl(self):
         kw = self.next()
         name = self.ident("presheaf name")
         if name is None or self.expect("on") is None:
-            self.skip_to({"category", "functor", "presheaf", "reflection"})
+            self.skip_to(DECLARATIONS)
             return None
         base = self.ident("base category")
         if base is None or not self.block_open():
             return None
         d = PresheafDecl(name.text, base.text, kw.line, kw.col, (base.line, base.col))
-        while self.peek().kind != "eof" and self.peek().text != "}":
-            t = self.peek()
-            if t.text == "at":
-                self.next()
-                o = self.ident("object")
-                if o is None or self.expect(":") is None:
-                    self.skip_to({";", "}"})
-                else:
-                    elems = []
-                    while self.peek().kind == "ident":
-                        elems.append(self.next().text)
-                        if self.peek().text == ",":
-                            self.next()
-                        else:
-                            break
-                    d.at.append((o.text, elems, o.line, o.col))
-                if self.peek().text == ";":
-                    self.next()
-            elif t.text == "act":
-                self.next()
-                start = self.peek()
-                w = self.word()
-                if w is None or self.expect(":") is None:
-                    self.skip_to({";", "}"})
-                else:
-                    pairs = []
-                    while self.peek().kind == "ident":
-                        x = self.next()
-                        if self.expect("->") is None:
-                            break
-                        y = self.ident("element")
-                        if y is None:
-                            break
-                        pairs.append((x.text, y.text))
-                        if self.peek().text == ",":
-                            self.next()
-                        else:
-                            break
-                    d.act.append((w, pairs, start.line, start.col))
-                if self.peek().text == ";":
-                    self.next()
-            else:
-                self.error(f"unexpected {t.text!r} in presheaf block")
-                self.next()
-                self.skip_to({";", "}"})
-                if self.peek().text == ";":
-                    self.next()
-        self.expect("}")
+        self.block("presheaf", {"at": lambda: self.at_clause(d),
+                                "act": lambda: self.act_clause(d)})
         return d
+
+    def at_clause(self, d: PresheafDecl) -> None:
+        o = self.ident("object")
+        if o is None or self.expect(":") is None:
+            self.skip_to({";", "}"})
+        else:
+            elems = []
+            while self.peek().kind == "ident":
+                elems.append(self.next().text)
+                if self.peek().text == ",":
+                    self.next()
+                else:
+                    break
+            d.at.append((o.text, elems, o.line, o.col))
+        if self.peek().text == ";":
+            self.next()
+
+    def act_clause(self, d: PresheafDecl) -> None:
+        start = self.peek()
+        w = self.word()
+        if w is None or self.expect(":") is None:
+            self.skip_to({";", "}"})
+        else:
+            pairs = []
+            while self.peek().kind == "ident":
+                xy = self.arrow(self.next, lambda: self.ident("element"))
+                if xy is None:
+                    break
+                pairs.append((xy[0].text, xy[1].text))
+                if self.peek().text == ",":
+                    self.next()
+                else:
+                    break
+            d.act.append((w, pairs, start.line, start.col))
+        if self.peek().text == ";":
+            self.next()
 
     def reflection_decl(self):
         kw = self.next()
@@ -475,46 +446,25 @@ class _Parser:
         if name is None or not self.block_open():
             return None
         d = ReflectionDecl(name.text, kw.line, kw.col)
-        while self.peek().kind != "eof" and self.peek().text != "}":
-            t = self.peek()
-            if t.text in ("L", "F"):
-                self.next()
-                self.expect(":")
-                v = self.ident("functor name")
-                if v is not None:
-                    if t.text == "L":
-                        d.L, d.L_span = v.text, (v.line, v.col)
-                    else:
-                        d.F, d.F_span = v.text, (v.line, v.col)
-                if self.peek().text == ";":
-                    self.next()
-            elif t.text == "unit":
-                self.next()
-                self.expect(":")
-                while True:
-                    o = self.ident("object")
-                    if o is None or self.expect("->") is None:
-                        self.skip_to({";", "}"})
-                        break
-                    w = self.word()
-                    if w is None:
-                        self.skip_to({";", "}"})
-                        break
-                    d.unit.append((o.text, w, o.line, o.col))
-                    if self.peek().text == ",":
-                        self.next()
-                        continue
-                    break
-                if self.peek().text == ";":
-                    self.next()
-            else:
-                self.error(f"unexpected {t.text!r} in reflection block")
-                self.next()
-                self.skip_to({";", "}"})
-                if self.peek().text == ";":
-                    self.next()
-        self.expect("}")
+        self.block("reflection", {
+            "L": lambda: self.functor_ref(d, "L"),
+            "F": lambda: self.functor_ref(d, "F"),
+            "unit": lambda: self.listing(self.unit_entry, d.unit),
+        })
         return d
+
+    def functor_ref(self, d: ReflectionDecl, which: str) -> None:
+        self.expect(":")
+        v = self.ident("functor name")
+        if v is not None:
+            setattr(d, which, v.text)
+            setattr(d, f"{which}_span", (v.line, v.col))
+        if self.peek().text == ";":
+            self.next()
+
+    def unit_entry(self):
+        ends = self.arrow(self.object_ref, self.word)
+        return None if ends is None else (ends[0].text, ends[1], ends[0].line, ends[0].col)
 
 
 def parse(text: str) -> SpecAST:
@@ -538,8 +488,6 @@ class Resolved:
     functors: dict = field(default_factory=dict)
     presheaves: dict = field(default_factory=dict)
     reflections: dict = field(default_factory=dict)
-    functor_ends: dict = field(default_factory=dict)   # name -> (src name, tgt name)
-    presheaf_base: dict = field(default_factory=dict)  # name -> base category name
 
 
 def _resolve_word(C: FinCategory, word, diags, line, col) -> str | None:
@@ -703,7 +651,6 @@ def _resolve_functor(d: FunctorDecl, out: Resolved, diags):
                                 d.line, d.col))
         return
     out.functors[d.name] = F
-    out.functor_ends[d.name] = (d.source, d.target)
 
 
 def _resolve_presheaf(d: PresheafDecl, out: Resolved, diags):
@@ -760,7 +707,6 @@ def _resolve_presheaf(d: PresheafDecl, out: Resolved, diags):
         return
     try:
         out.presheaves[d.name] = Presheaf.of(base, at, act)
-        out.presheaf_base[d.name] = d.base
     except InvalidStructure as e:
         diags.append(Diagnostic("SyntaxError", f"presheaf {d.name!r}: {e}", d.line, d.col))
 
@@ -805,10 +751,6 @@ def load(text: str) -> Resolved:
 
 # ---------------------------------------------------------------------------
 # serialization (canonical; parse o serialize is a fixed point)
-
-
-def _word_name(C: FinCategory, m: str) -> str:
-    return m  # morphism names are themselves words over dot-free generators
 
 
 def serialize_category(name: str, C: FinCategory) -> str:

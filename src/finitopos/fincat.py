@@ -13,10 +13,8 @@ replay.  Derived categories (`opposite`, `poset_category`,
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .budget import Budget, ensure_budget
 from .errors import InvalidStructure, NonUnique, SaturationOverflow, ShapeMismatch
 from .verdicts import FAIL, PASS, Verdict
 
@@ -135,19 +133,6 @@ class FinCategory:
         return f"FinCategory({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
 
 
-def validate_category(objects, morphisms, dom, cod, identity, comp):
-    """Returns (FinCategory, []) or (None, violations).  User-facing category
-    specifications must declare at least one object; derived constructions
-    (element categories of empty presheaves) may be empty internally."""
-    if not objects:
-        return None, [Violation("DanglingReference", "empty object list")]
-    cat = FinCategory(objects, morphisms, dom, cod, identity, comp)
-    bad = cat.violations()
-    if bad:
-        return None, bad
-    return cat, []
-
-
 def build_category(objects, morphisms, dom, cod, identity, comp) -> FinCategory:
     return FinCategory(objects, morphisms, dom, cod, identity, comp).validate()
 
@@ -156,12 +141,6 @@ def build_category(objects, morphisms, dom, cod, identity, comp) -> FinCategory:
 # saturation from generators + relations (bounded; avoids the word problem)
 
 DEFAULT_MORPHISM_BOUND = 512
-
-
-def _word_name(word: tuple, obj: str) -> str:
-    if not word:
-        return f"id({obj})"
-    return ".".join(word)
 
 
 def saturate_category(objects, generators, relations, bound: int = DEFAULT_MORPHISM_BOUND) -> FinCategory:
@@ -526,10 +505,6 @@ def find_inverse(C: FinCategory, m: str) -> str | None:
     return None
 
 
-def is_iso(C: FinCategory, m: str) -> bool:
-    return find_inverse(C, m) is not None
-
-
 def terminal_object(C: FinCategory) -> str | None:
     for t in C.objects:
         if all(len(C.hom(x, t)) == 1 for x in C.objects):
@@ -705,10 +680,6 @@ class Reflection:
         if len(cands) != 1:
             raise NonUnique(f"{len(cands)} transposes for {u}: {b} -> F {a}")
         return cands[0]
-
-    def counit(self, a: str) -> str:
-        """epsilon_a: L F a -> a; the transpose of id_{F a}.  Always iso here."""
-        return self.transpose(self.F.obj_map[a], a, self.B.identity[self.F.obj_map[a]])
 
     @staticmethod
     def identity(C: FinCategory) -> "Reflection":

@@ -7,7 +7,7 @@ deterministic and diffable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .budget import Budget, ensure_budget
@@ -80,9 +80,6 @@ class FinSet:
 
     def __iter__(self):
         return iter(self.elements)
-
-
-EMPTY = FinSet(())
 
 
 @dataclass(frozen=True)
@@ -209,31 +206,6 @@ class SetDiagram:
         return out
 
 
-def product(sets: list[FinSet]) -> tuple[FinSet, list[FinFn]]:
-    """Cartesian product with projections; elements are tuples in input order."""
-    elems = [()]
-    for s in sets:
-        elems = [t + (x,) for t in elems for x in s]
-    p = FinSet.of(elems)
-    projs = [FinFn.of(p, s, {t: t[i] for t in p}) for i, s in enumerate(sets)]
-    return p, projs
-
-
-def equalizer(f: FinFn, g: FinFn) -> tuple[FinSet, FinFn]:
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ShapeMismatch("equalizer requires a parallel pair")
-    e = FinSet.of(x for x in f.dom if f(x) == g(x))
-    return e, FinFn.of(e, f.dom, {x: x for x in e})
-
-
-def coproduct(sets: list[FinSet]) -> tuple[FinSet, list[FinFn]]:
-    """Disjoint union; elements tagged by input position."""
-    elems = [(i, x) for i, s in enumerate(sets) for x in s]
-    c = FinSet.of(elems)
-    injs = [FinFn.of(s, c, {x: (i, x) for x in s}) for i, s in enumerate(sets)]
-    return c, injs
-
-
 class UnionFind:
     def __init__(self, items: Iterable):
         self.parent = {x: x for x in items}
@@ -259,17 +231,6 @@ class UnionFind:
 
     def classes(self) -> dict:
         return {x: self.find(x) for x in self.parent}
-
-
-def coequalizer(f: FinFn, g: FinFn) -> tuple[FinSet, FinFn]:
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ShapeMismatch("coequalizer requires a parallel pair")
-    uf = UnionFind(f.cod)
-    for x in f.dom:
-        uf.union(f(x), g(x))
-    cls = uf.classes()
-    q = FinSet.of(set(cls.values()))
-    return q, FinFn.of(f.cod, q, cls)
 
 
 def _search_order(successors: list) -> list:
@@ -383,19 +344,6 @@ def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, di
         for i, o in enumerate(objs)
     }
     return lim, projs
-
-
-def limit_by_product(D: SetDiagram) -> FinSet:
-    """Equalizer-of-products limit; independent oracle for small diagrams."""
-    C = D.index
-    objs = list(C.objects)
-    pos = {o: i for i, o in enumerate(objs)}
-    prod, _ = product([D.obj(o) for o in objs])
-    good = []
-    for t in prod:
-        if all(D.mor(m)(t[pos[C.dom[m]]]) == t[pos[C.cod[m]]] for m in C.morphisms):
-            good.append(t)
-    return FinSet.of(good)
 
 
 def colimit(D: SetDiagram) -> tuple[FinSet, dict]:

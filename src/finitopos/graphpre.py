@@ -181,27 +181,19 @@ class Preorder:
 def preorders_of_size(n: int):
     """Preorders on v0..v{n-1}, one canonical representative per iso class."""
     elems = [f"v{i}" for i in range(n)]
+    idx = {x: i for i, x in enumerate(elems)}
     off_diag = [(a, b) for a in elems for b in elems if a != b]
     seen = set()
     for bits in itertools.product([0, 1], repeat=len(off_diag)):
         rel = {p for p, b in zip(off_diag, bits) if b} | {(x, x) for x in elems}
         if any((a, c) not in rel for (a, b) in rel for (b2, c) in rel if b2 == b):
             continue
-        key = _canon_rel(elems, rel)
+        # the isomorphism class of the relation, as a graph on the indices
+        key = RefGraph.of(n, [(idx[a], idx[b]) for a, b in rel]).canonical()
         if key in seen:
             continue
         seen.add(key)
         yield Preorder(elems, rel)
-
-
-def _canon_rel(elems, rel):
-    best = None
-    idx = {x: i for i, x in enumerate(elems)}
-    for perm in itertools.permutations(range(len(elems))):
-        enc = tuple(sorted((perm[idx[a]], perm[idx[b]]) for (a, b) in rel))
-        if best is None or enc < best:
-            best = enc
-    return best
 
 
 def enumerate_preorders(max_n: int):
@@ -211,12 +203,7 @@ def enumerate_preorders(max_n: int):
 
 def monotone_maps(P: Preorder, Q: Preorder):
     """All monotone maps P -> Q as dicts, canonically ordered."""
-    out = []
-    for values in itertools.product(Q.carrier, repeat=len(P.carrier)):
-        f = dict(zip(P.carrier, values))
-        if all(Q.leq(f[a], f[b]) for (a, b) in P.rel):
-            out.append(f)
-    return out
+    return _edge_respecting_maps(P.carrier, P.rel, Q.carrier, Q.rel)
 
 
 # ---------------------------------------------------------------------------
@@ -423,34 +410,33 @@ def check_product_preservation(max_v: int = 3, max_e: int = 4,
     import random as _random
 
     graphs = list(enumerate_graphs(max_v, max_e))
+    exhaustive = {"max_v": max_v, "max_e": max_e}
+
+    def pairs():
+        """(G, H, the bounds a FAIL on them reports), exhaustive ones first."""
+        for i, G in enumerate(graphs):
+            for H in graphs[i:]:
+                yield G, H, exhaustive
+        sampled = dict(exhaustive, random_max_v=random_max_v)
+        rng = _random.Random(seed)
+        for _ in range(random_pairs):
+            pair = []
+            for _ in range(2):
+                n = rng.randint(1, random_max_v)
+                e = rng.randint(0, 2 * n)
+                edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(e)]
+                pair.append(RefGraph.of(n, edges))
+            yield (*pair, sampled)
+
     tested = 0
-    for i, G in enumerate(graphs):
-        for H in graphs[i:]:
-            tested += 1
-            ok, info = product_reflection_agrees(G, H)
-            if not ok:
-                return Verdict("graph-product-preservation", FAIL,
-                               witness={"kind": "graph-product",
-                                        "G": G.to_json(), "H": H.to_json(), **info},
-                               bounds={"max_v": max_v, "max_e": max_e},
-                               stats={"pairs": tested})
-    rng = _random.Random(seed)
-    for _ in range(random_pairs):
-        pair = []
-        for _ in range(2):
-            n = rng.randint(1, random_max_v)
-            e = rng.randint(0, 2 * n)
-            edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(e)]
-            pair.append(RefGraph.of(n, edges))
+    for G, H, bounds in pairs():
         tested += 1
-        ok, info = product_reflection_agrees(*pair)
+        ok, info = product_reflection_agrees(G, H)
         if not ok:
             return Verdict("graph-product-preservation", FAIL,
                            witness={"kind": "graph-product",
-                                    "G": pair[0].to_json(), "H": pair[1].to_json(), **info},
-                           bounds={"max_v": max_v, "max_e": max_e,
-                                   "random_max_v": random_max_v},
-                           stats={"pairs": tested})
+                                    "G": G.to_json(), "H": H.to_json(), **info},
+                           bounds=bounds, stats={"pairs": tested})
     return Verdict("graph-product-preservation", PASS,
                    bounds={"max_v": max_v, "max_e": max_e,
                            "random_pairs": random_pairs, "random_max_v": random_max_v},
@@ -679,7 +665,14 @@ def reverify_graph_witness(w: dict) -> Verdict:
         A0 = Preorder.from_json(w["A0"])
         B0 = RefGraph.from_json(w["B0"])
         uv = {k: elem_from_json(v) for k, v in w["u"].items()}
-        return _sieve_instance_verdict(A0, B0, uv, replay=True)
+        PB, FA = B0.presheaf(), embed(A0)
+        u = _graph_map(PB, FA, uv).validate()
+        FLB = embed(reflect(PB))
+        if _sieve_factors(u, FLB, nat_transformations(FLB, PB)):
+            return Verdict("witness-replay", FAIL,
+                           witness={"kind": "replay", "reason": "F(Lu) factors through u"},
+                           stats={"factors": True})
+        return Verdict("witness-replay", PASS, stats={"factors": False})
     raise ShapeMismatch(f"unknown graph witness kind {kind!r}")
 
 
@@ -743,27 +736,12 @@ def find_pi_witness(max_n: int = 3, max_instances: int = 2000,
 # sieve witness (hyperconnectedness remark)
 
 
-def _sieve_instance_verdict(A0: Preorder, B0: RefGraph, uv: dict, replay=False):
-    """For the sieve generated by u: B0 -> F(A0): u is a member by definition;
-    is F(L u) a member, i.e. does it factor through u?"""
-    PB = B0.presheaf()
-    FA = embed(A0)
-    u = _graph_map(PB, FA, uv)
-    if replay:
-        u.validate()
-    FLB = embed(reflect(PB))
-    flu = embedded_map(reflect_map(u), FLB, FA)
-    factors = any(
-        w.then(u).encoding() == flu.encoding()
-        for w in nat_transformations(FLB, PB)
-    )
-    name = "witness-replay" if replay else "sieve-witness-search"
-    if factors:
-        return Verdict(name, FAIL if replay else NOT_FOUND,
-                       witness={"kind": "replay",
-                                "reason": "F(Lu) factors through u"} if replay else None,
-                       stats={"factors": True})
-    return Verdict(name, PASS, stats={"factors": False})
+def _sieve_factors(u: PresheafMap, FLB: Presheaf, nats: list) -> bool:
+    """For the sieve generated by u: B0 -> F(A0), of which u is a member by
+    definition: is F(L u) a member, i.e. does it factor through u?  FLB is
+    embed(reflect(B0)) and nats is Nat(FLB, B0)."""
+    flu = embedded_map(reflect_map(u), FLB, u.target).encoding()
+    return any(w.then(u).encoding() == flu for w in nats)
 
 
 def find_sieve_witness(max_n: int = 3, max_v: int = 3, max_e: int = 4,
@@ -781,17 +759,23 @@ def find_sieve_witness(max_n: int = 3, max_v: int = 3, max_e: int = 4,
 
 
 def _sieve_search(max_n, max_v, max_e, b_) -> Verdict:
+    """Each graph B0's presheaf, vertices and edge pairs are built once per
+    search, and F L B0 with Nat(F L B0, B0) once, at the first u out of B0;
+    each A0 is embedded once."""
     tested = 0
+    graphs = [(B0, PB, list(PB.at["V"]), _edge_pairs(PB))
+              for B0 in enumerate_graphs(max_v, max_e) for PB in [B0.presheaf()]]
+    reflected: dict = {}  # B0 -> (F L B0, Nat(F L B0, B0))
     for A0 in enumerate_preorders(max_n):
         FA = embed(A0)
-        for B0 in enumerate_graphs(max_v, max_e):
-            PB = B0.presheaf()
-            for um in vertex_maps_to_embedded(PB, FA):
+        for B0, PB, verts, pairs in graphs:
+            for uv in _edge_respecting_maps(verts, pairs, FA.at["V"].elements, FA.at["E"]):
                 b_.charge()
                 tested += 1
-                uv = {v: um.components["V"](v) for v in PB.at["V"]}
-                v = _sieve_instance_verdict(A0, B0, uv)
-                if v.passed:
+                if B0 not in reflected:
+                    FLB = embed(reflect(PB))
+                    reflected[B0] = FLB, nat_transformations(FLB, PB)
+                if not _sieve_factors(_graph_map(PB, FA, uv), *reflected[B0]):
                     from .report import elem_to_json
                     return Verdict("sieve-witness-search", FAIL,
                                    witness={"kind": "graph-sieve",

@@ -38,11 +38,9 @@ def restrict_map(L: FinFunctor, alpha: PresheafMap) -> PresheafMap:
 
 @dataclass
 class KanResult:
-    kind: str  # "lan" | "ran"
     functor: FinFunctor
     input: Presheaf
     output: Presheaf
-    structure: dict  # per target object: injections (lan) / family decoders (ran)
     cls: dict = field(default_factory=dict)     # lan: (a) -> {(oid, x): rep}
     decode: dict = field(default_factory=dict)  # lan: (a) -> {oid: (b, phi)}
     families: dict = field(default_factory=dict)  # ran: (a) -> {enc: PresheafMap}
@@ -58,7 +56,7 @@ def lan(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
     if X.base != L.source:
         raise ShapeMismatch("lan: presheaf not on the functor's source")
     A, B = L.target, L.source
-    at, cls_by_a, decode_by_a, injs_by_a = {}, {}, {}, {}
+    at, cls_by_a, decode_by_a = {}, {}, {}
     for a in A.objects:
         comma, decode = comma_from_object(a, L)
         idx = opposite(comma)
@@ -72,7 +70,6 @@ def lan(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
         at[a] = col
         cls_by_a[a] = {(o, x): injs[o](x) for o in idx.objects for x in on_objects[o]}
         decode_by_a[a] = dict(decode)
-        injs_by_a[a] = injs
     act = {}
     for psi in A.morphisms:
         a1, a2 = A.dom[psi], A.cod[psi]
@@ -84,7 +81,7 @@ def lan(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
             table[rep] = cls_by_a[a1][(oid1, x)]
         act[psi] = FinFn.of(at[a2], at[a1], table)
     out = Presheaf(A, at, act)
-    return KanResult("lan", L, X, out, injs_by_a, cls=cls_by_a, decode=decode_by_a)
+    return KanResult(L, X, out, cls=cls_by_a, decode=decode_by_a)
 
 
 def lan_unit(rx: KanResult) -> PresheafMap:
@@ -152,7 +149,7 @@ def ran(L: FinFunctor, X: Presheaf, budget: Budget | int | None = None) -> KanRe
         act[psi] = precompose_families(at[a2], at[a1], restricted[a1], restricted[a2],
                                        lambda b, phi, psi=psi: A.compose(psi, phi))
     out = Presheaf(A, at, act)
-    return KanResult("ran", L, X, out, fams_by_a, families=fams_by_a)
+    return KanResult(L, X, out, families=fams_by_a)
 
 
 def ran_counit(rx: KanResult) -> PresheafMap:
@@ -171,31 +168,12 @@ def ran_counit(rx: KanResult) -> PresheafMap:
     return PresheafMap(src, X, comps)
 
 
-def ran_transpose(rx: KanResult, V: Presheaf, m: PresheafMap) -> PresheafMap:
-    """Adjunct of m: L*V -> X across L* -| L_*: v -> (phi -> m(V(phi) v))."""
-    L = rx.functor
-    A, B = L.target, L.source
-    comps = {}
-    for a in A.objects:
-        P = restrict(L, yoneda(A, a))
-        table = {}
-        for v in V.at[a]:
-            fam_comps = {}
-            for b in B.objects:
-                tbl = {phi: m.components[b](V.act[phi](v)) for phi in P.at[b]}
-                fam_comps[b] = FinFn.of(P.at[b], rx.input.at[b], tbl)
-            table[v] = PresheafMap(P, rx.input, fam_comps).encoding()
-        comps[a] = FinFn.of(V.at[a], rx.output.at[a], table)
-    return PresheafMap(V, rx.output, comps)
-
-
 # ---------------------------------------------------------------------------
 # essential + local verification
 
 
 def verify_essential_local(R: Reflection, carrier_bound: int = 2,
-                           budget: Budget | int | None = None,
-                           corpus_b=None, corpus_a=None) -> Verdict:
+                           budget: Budget | int | None = None) -> Verdict:
     """Over a deterministic corpus: (a) the hom-bijection for L! -| L*,
     (b) the hom-bijection for L* -| L_*, (c) fullness/faithfulness of L*."""
     from .presheaf import presheaf_corpus
@@ -203,10 +181,8 @@ def verify_essential_local(R: Reflection, carrier_bound: int = 2,
     b_ = ensure_budget(budget, "verify_essential_local")
     L = R.L
     A, B = L.target, L.source
-    if corpus_b is None:
-        corpus_b = presheaf_corpus(B, carrier_bound)
-    if corpus_a is None:
-        corpus_a = presheaf_corpus(A, carrier_bound)
+    corpus_b = presheaf_corpus(B, carrier_bound)
+    corpus_a = presheaf_corpus(A, carrier_bound)
     stats = {"corpus_b": len(corpus_b), "corpus_a": len(corpus_a), "pairs": 0}
 
     for X in corpus_b:

@@ -1,5 +1,5 @@
 """Presheaves on a finite base: Yoneda, natural-transformation enumeration,
-limits, exponentials, sieves, and dependent products.
+limits, exponentials, and dependent products.
 
 A presheaf acts contravariantly: for f: c -> d the action is a function
 at(d) -> at(c).  Natural transformations are enumerated as the limit of the
@@ -104,9 +104,6 @@ class Presheaf:
     def __hash__(self):
         return hash(self.encoding())
 
-    def total_size(self) -> int:
-        return sum(len(self.at[o]) for o in self.base.objects)
-
     def __repr__(self):
         sizes = ", ".join(f"{o}:{len(self.at[o])}" for o in self.base.objects)
         return f"Presheaf({sizes})"
@@ -175,9 +172,6 @@ class PresheafMap:
 
     def is_pointwise_bijection(self) -> bool:
         return all(c.is_bijective() for c in self.components.values())
-
-    def is_pointwise_surjection(self) -> bool:
-        return all(c.is_surjective() for c in self.components.values())
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +343,6 @@ def nat_transformations(X: Presheaf, Y: Presheaf, budget: Budget | int | None = 
     return out
 
 
-def presheaf_iso(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None) -> PresheafMap | None:
-    """First canonical natural isomorphism X -> Y, or None."""
-    if X.base != Y.base:
-        return None
-    if any(len(X.at[o]) != len(Y.at[o]) for o in X.base.objects):
-        return None
-    for m in nat_transformations(X, Y, budget):
-        if m.is_pointwise_bijection():
-            return m
-    return None
-
-
 # ---------------------------------------------------------------------------
 # exponentials
 
@@ -502,52 +484,6 @@ def dependent_product(f: PresheafMap, g: PresheafMap, budget: Budget | int | Non
 
 
 # ---------------------------------------------------------------------------
-# sieves
-
-
-@dataclass(frozen=True)
-class Sieve:
-    base: FinCategory
-    on: str
-    members: frozenset
-
-    def violations(self) -> list[Violation]:
-        out = []
-        C = self.base
-        for u in self.members:
-            if u not in set(C.morphisms) or C.cod[u] != self.on:
-                out.append(Violation("DanglingReference", f"sieve member {u} not into {self.on}"))
-        if out:
-            return out
-        for u in self.members:
-            for v in C.morphisms:
-                if C.cod[v] == C.dom[u] and C.compose(u, v) not in self.members:
-                    out.append(Violation("BrokenAssociativity", f"sieve not right-closed: {u}.{v}"))
-        return out
-
-    def validate(self) -> "Sieve":
-        bad = self.violations()
-        if bad:
-            raise InvalidStructure(bad)
-        return self
-
-
-def sieves_on(C: FinCategory, c: str, budget: Budget | int | None = None) -> list[Sieve]:
-    """All right-closed sets of morphisms into c, canonically ordered."""
-    b = ensure_budget(budget, "sieves_on")
-    arrows = sorted(m for m in C.morphisms if C.cod[m] == c)
-    out = []
-    for r in range(len(arrows) + 1):
-        for combo in itertools.combinations(arrows, r):
-            b.charge()
-            s = Sieve(C, c, frozenset(combo))
-            if not s.violations():
-                out.append(s)
-    out.sort(key=lambda s: (len(s.members), tuple(sorted(s.members))))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # deterministic presheaf corpus
 
 
@@ -578,8 +514,7 @@ def canonical_encoding(P: Presheaf) -> tuple:
     return best
 
 
-def presheaf_corpus(C: FinCategory, carrier_bound: int = 2,
-                    include_representables: bool = True) -> list[Presheaf]:
+def presheaf_corpus(C: FinCategory, carrier_bound: int = 2) -> list[Presheaf]:
     """All presheaves with every carrier <= bound, one per relabeling class,
     plus representables; deterministic order."""
     objs = list(C.objects)
@@ -602,10 +537,9 @@ def presheaf_corpus(C: FinCategory, carrier_bound: int = 2,
             key = canonical_encoding(p)
             if key not in seen:
                 seen[key] = p
-    if include_representables:
-        for c in objs:
-            p = yoneda(C, c)
-            key = canonical_encoding(p)
-            if key not in seen:
-                seen[key] = p
+    for c in objs:
+        p = yoneda(C, c)
+        key = canonical_encoding(p)
+        if key not in seen:
+            seen[key] = p
     return [seen[k] for k in sorted(seen)]

@@ -3,6 +3,7 @@ content digests so every witness file is replayable and CI-diffable."""
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from importlib import resources
@@ -160,15 +161,26 @@ def make_report(command: str, bounds: dict, verdict, witness=None,
     return body
 
 
+@functools.cache
+def _report_validator():
+    """The bundled schema's validator, checked against its metaschema once
+    per process rather than on every report."""
+    import jsonschema
+
+    schema = json.loads(resources.files("finitopos").joinpath("report_schema.json").read_text())
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def check_report(report: dict) -> None:
     """Schema + digest validation; raises InvalidStructure."""
     import jsonschema
 
-    schema = json.loads(resources.files("finitopos").joinpath("report_schema.json").read_text())
-    try:
-        jsonschema.validate(report, schema)
-    except jsonschema.ValidationError as e:
-        raise InvalidStructure([f"report schema violation: {e.message}"])
+    # the error jsonschema.validate would raise
+    error = jsonschema.exceptions.best_match(_report_validator().iter_errors(report))
+    if error is not None:
+        raise InvalidStructure([f"report schema violation: {error.message}"])
     body = {k: v for k, v in report.items() if k != "digest"}
     if digest_of(body) != report.get("digest"):
         raise InvalidStructure(["report digest mismatch"])

@@ -13,17 +13,17 @@ import pytest
 
 from finitopos import checks, dsl, fixtures, graphpre, kan, report
 from finitopos.errors import InvalidStructure, ShapeMismatch
-from finitopos.fincat import FinFunctor, FinNatTrans, validate_category
+from finitopos.fincat import FinCategory, FinFunctor, FinNatTrans
 from finitopos.finset import FinFn, FinSet
 from finitopos.presheaf import (
     Presheaf,
     nat_transformations,
     presheaf_corpus,
-    presheaf_iso,
     product_presheaf,
     yoneda,
 )
 from finitopos.verdicts import FAIL, PASS
+from oracles import presheaf_iso
 
 
 @pytest.fixture
@@ -42,10 +42,9 @@ def test_criterion_01_axiom_validators(say):
     t0 = time.monotonic()
     for name in fixtures.FIXTURE_CATEGORIES:
         C = fixtures.get_category(name)
-        cat, bad = validate_category(list(C.objects), list(C.morphisms),
-                                     dict(C.dom), dict(C.cod),
-                                     dict(C.identity), dict(C.comp))
-        assert cat is not None and not bad, f"{name} rejected: {bad}"
+        bad = FinCategory(list(C.objects), list(C.morphisms), dict(C.dom), dict(C.cod),
+                          dict(C.identity), dict(C.comp)).violations()
+        assert not bad, f"{name} rejected: {bad}"
 
     C = fixtures.get_category("bool-2")
     ids = set(C.identity.values())
@@ -57,10 +56,7 @@ def test_criterion_01_axiom_validators(say):
                      dom=dict(C.dom), cod=dict(C.cod),
                      identity=dict(C.identity), comp=dict(C.comp))
         parts.update(kw)
-        cat, bad = validate_category(parts["objects"], parts["morphisms"],
-                                     parts["dom"], parts["cod"],
-                                     parts["identity"], parts["comp"])
-        return cat is None or bool(bad)
+        return bool(FinCategory(**parts).violations())
 
     rejected = 0
     # 1 identity law (left)

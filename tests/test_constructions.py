@@ -47,6 +47,7 @@ from finitopos.presheaf import (
     terminal_presheaf,
     yoneda,
 )
+from oracles import ran_transpose
 
 SEED = 20210521
 
@@ -244,7 +245,7 @@ def _ran():
             rx = kan.ran(R.L, X)
             out += [rx.output, kan.ran_counit(rx)]
             for V in _pieces(R.A):
-                out.extend(kan.ran_transpose(rx, V, m)
+                out.extend(ran_transpose(rx, V, m)
                            for m in nat_transformations(kan.restrict(R.L, V), X))
     return out
 

@@ -5,6 +5,10 @@ identity on every in-memory value, and that serialize on the re-parsed value
 is a fixed point of the text form.
 """
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +90,18 @@ def test_tokenizer_flags_bad_characters_without_raising():
     toks, diags = dsl.tokenize("category @ A %")
     assert diags and all(d.kind == "SyntaxError" for d in diags)
     assert toks[-1].kind == "eof"
+
+
+def test_parse_matches_recorded_corpus():
+    """Exact diagnostics and parsed declarations on about 2 000 malformed
+    documents, recorded by tests/data/make_dsl_corpus.py."""
+    corpus = json.loads((Path(__file__).parent / "data" / "dsl_corpus.json").read_text())
+    assert len(corpus) == 2000
+    for entry in corpus:
+        ast = dsl.parse(entry["text"])
+        decls = [[type(d).__name__, *dataclasses.astuple(d)] for d in ast.decls]
+        assert [str(d) for d in ast.diagnostics] == entry["diagnostics"], entry["text"]
+        assert json.loads(json.dumps(decls)) == entry["decls"], entry["text"]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from finitopos.errors import InvalidStructure, SaturationOverflow, ShapeMismatch
 from finitopos.fincat import (
+    FinCategory,
     FinFunctor,
     FinNatTrans,
     Reflection,
@@ -19,9 +20,8 @@ from finitopos.fincat import (
     saturate_category,
     terminal_category,
     terminal_object,
-    validate_category,
 )
-from finitopos import fixtures
+from finitopos import dsl, fixtures
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +56,9 @@ def test_saturation_with_nilpotence():
 def test_fixtures_validate():
     for name in fixtures.FIXTURE_CATEGORIES:
         C = fixtures.get_category(name)
-        cat, bad = validate_category(list(C.objects), list(C.morphisms),
-                                     dict(C.dom), dict(C.cod),
-                                     dict(C.identity), dict(C.comp))
-        assert cat is not None and not bad, f"{name}: {bad}"
+        bad = FinCategory(list(C.objects), list(C.morphisms), dict(C.dom), dict(C.cod),
+                          dict(C.identity), dict(C.comp)).violations()
+        assert not bad, f"{name}: {bad}"
 
 
 def _mutate(C, **overrides):
@@ -95,8 +94,10 @@ def test_mutations_rejected():
 
 
 def test_empty_category_rejected_at_validation():
-    cat, bad = validate_category([], [], {}, {}, {}, {})
-    assert cat is None and bad
+    # a declared category needs an object; the DSL resolver is where a
+    # category enters from outside
+    _, diags = dsl.resolve(dsl.parse("category E { close: 1; }"))
+    assert [str(d) for d in diags] == ["1:1: SyntaxError: category needs at least one object"]
     # the internal constructor allows emptiness (element categories)
     assert build_category([], [], {}, {}, {}, {}).objects == ()
 

@@ -1,7 +1,7 @@
 """Finite sets, functions, and limits/colimits.
 
 The backtracking `limit` is checked against the equalizer-of-products oracle
-`limit_by_product` on randomly generated diagrams; colimits against a direct
+`oracles.limit_by_product` on randomly generated diagrams; colimits against a direct
 orbit computation.
 """
 
@@ -17,14 +17,10 @@ from finitopos.finset import (
     canon_key,
     canon_sort,
     colimit,
-    coproduct,
-    coequalizer,
-    equalizer,
     limit,
-    limit_by_product,
-    product,
 )
 from finitopos.fincat import build_category, poset_category, terminal_category
+from oracles import limit_by_product
 
 elements = st.recursive(
     st.one_of(st.integers(-5, 5), st.text("abc", min_size=0, max_size=3)),
@@ -144,28 +140,6 @@ def test_then_equals_composite_built_by_of(chain):
         expected = FinFn.of(left.dom, right.cod, {x: right(left(x)) for x in left.dom})
         assert composite.mapping == expected.mapping
         assert composite == expected and hash(composite) == hash(expected)
-
-
-def test_product_and_equalizer():
-    A = FinSet.of([0, 1])
-    B = FinSet.of(["x", "y", "z"])
-    P, projs = product([A, B])
-    assert len(P) == 6  # [DERIVED] 2 * 3
-    f = FinFn.of(A, A, {0: 0, 1: 0})
-    g = FinFn.identity(A)
-    E, inc = equalizer(f, g)
-    assert list(E) == [0]  # [DERIVED] f(x) = x only at 0
-
-
-def test_coproduct_and_coequalizer():
-    A = FinSet.of([0, 1])
-    B = FinSet.of([0])
-    C, injs = coproduct([A, B])
-    assert len(C) == 3
-    f = FinFn.of(B, A, {0: 0})
-    g = FinFn.of(B, A, {0: 1})
-    Q, q = coequalizer(f, g)
-    assert len(Q) == 1  # [DERIVED] 0 ~ 1 collapses both
 
 
 def test_unionfind_least_representatives():

@@ -87,8 +87,7 @@ def _preorder_count_oracle(n):
             rel = frozenset(diag | set(extra))
             if all((a, c) in rel
                    for (a, b) in rel for (b2, c) in rel if b2 == b):
-                from finitopos.graphpre import _canon_rel
-                seen.add(_canon_rel(elems, rel))
+                seen.add(RefGraph.of(n, rel).canonical())
     return len(seen)
 
 
@@ -217,6 +216,26 @@ def test_product_relation_matches_presheaf_product(G, H):
 def test_product_preservation_sweep_small():
     v = check_product_preservation(max_v=2, max_e=3, random_pairs=20)
     assert v.outcome == PASS, v.summary()
+
+
+@pytest.mark.parametrize("fail_at,bounds", [
+    (4, {"max_v": 1, "max_e": 1}),  # the 4th of the 6 exhaustive pairs
+    (8, {"max_v": 1, "max_e": 1, "random_max_v": 2}),  # the 2nd random pair
+])
+def test_product_sweep_fail_names_the_pair_and_its_bounds(monkeypatch, fail_at, bounds):
+    seen = []
+
+    def agrees(G, H):
+        seen.append((G, H))
+        return len(seen) != fail_at, {"only_left": ["x"], "only_right": []}
+
+    monkeypatch.setattr(graphpre, "product_reflection_agrees", agrees)
+    v = check_product_preservation(max_v=1, max_e=1, random_pairs=3, random_max_v=2)
+    G, H = seen[-1]
+    assert len(seen) == fail_at
+    assert (v.outcome, v.bounds, v.stats) == (FAIL, bounds, {"pairs": fail_at})
+    assert v.witness == {"kind": "graph-product", "G": G.to_json(), "H": H.to_json(),
+                         "only_left": ["x"], "only_right": []}
 
 
 def test_product_sweep_same_with_cold_and_warm_cache():
@@ -466,3 +485,24 @@ def test_preorder_json_roundtrip():
     for P in enumerate_preorders(3):
         Q = Preorder.from_json(P.to_json())
         assert Q.carrier == P.carrier and Q.rel == P.rel
+
+
+def test_sieve_search_at_default_bounds_finds_its_witness():
+    import json
+    v = graphpre.find_sieve_witness()
+    assert v.outcome == FAIL and v.stats == {"tested": 1743}
+    w = json.loads(json.dumps(v.to_json()["witness"]))
+    # the path v0 -> v1 -> v2 into the indiscrete 2-element preorder, v2 back to v0
+    assert w["B0"] == {"n": 3, "edges": [[0, 1], [1, 2]]}
+    assert w["A0"] == Preorder.of(["v0", "v1"], {("v0", "v1"), ("v1", "v0")}).to_json()
+    assert w["u"] == {"v0": ["s", "v0"], "v1": ["s", "v1"], "v2": ["s", "v0"]}
+    assert checks.reverify(w).outcome == PASS
+    # a constant u: F(L u) factors through it, so the replay rejects the claim
+    w["u"] = {k: ["s", "v0"] for k in w["u"]}
+    r = checks.reverify(w)
+    assert r.outcome == FAIL and r.stats == {"factors": True}
+    # an A0 that does not relate v1 to v0 makes u no graph map at all
+    w["A0"] = Preorder.of(["v0", "v1"], {("v0", "v1")}).to_json()
+    w["u"] = {"v0": ["s", "v1"], "v1": ["s", "v0"], "v2": ["s", "v0"]}
+    with pytest.raises(InvalidStructure):
+        checks.reverify(w)

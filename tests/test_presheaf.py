@@ -1,4 +1,4 @@
-"""Presheaf calculus: Yoneda, Nat-enumeration, exponentials, sieves, corpus.
+"""Presheaf calculus: Yoneda, Nat-enumeration, exponentials, corpus.
 
 Brute-force oracles are used wherever the search-based enumeration could in
 principle be wrong: Nat counts are compared against a direct all-families
@@ -19,7 +19,6 @@ from finitopos.graphpre import RefGraph, embed, enumerate_graphs, enumerate_preo
 from finitopos.presheaf import (
     Presheaf,
     PresheafMap,
-    Sieve,
     category_of_elements,
     dependent_product,
     empty_presheaf,
@@ -27,13 +26,12 @@ from finitopos.presheaf import (
     exponential_presheaf,
     nat_transformations,
     presheaf_corpus,
-    presheaf_iso,
     product_presheaf,
     pullback_presheaf,
-    sieves_on,
     terminal_presheaf,
     yoneda,
 )
+from oracles import presheaf_iso
 
 
 def _nat_count_oracle(X, Y):
@@ -315,27 +313,6 @@ def test_category_of_elements_delta1():
     assert len(el.category.objects) == sum(len(X.at[c]) for c in C.objects)
     # projection is a functor onto the base
     el.projection.validate()
-
-
-def test_sieves_are_right_closed_and_counted():
-    C = fixtures.get_category("chain-2")
-    for c in C.objects:
-        for S in sieves_on(C, c):
-            for m in S.members:
-                for f in C.morphisms:
-                    if C.cod[f] == C.dom[m]:
-                        assert C.comp[(m, f)] in S.members
-    # [DERIVED] sieves on the top of a 2-chain: empty, {m}, maximal
-    assert len(sieves_on(C, "c1")) == 3
-
-
-def test_sieve_validation_rejects_non_closed():
-    C = fixtures.get_category("chain-2")
-    arrow = next(m for m in C.morphisms
-                 if C.dom[m] == "c0" and C.cod[m] == "c1")
-    with pytest.raises(InvalidStructure):
-        Sieve(C, "c1", frozenset({"id(c1)"})).validate()  # not right-closed
-    Sieve(C, "c1", frozenset({"id(c1)", arrow})).validate()
 
 
 def test_dependent_product_along_identity_is_input():
