@@ -8,6 +8,7 @@ Exit codes: 0 = conclusive result as requested, 1 = ``--expect`` mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -41,7 +42,10 @@ _SIZE = _int_from(0, "non-negative")
 _POSITIVE = _int_from(1, "positive")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser.  Parsing leaves it unchanged (`--fixture`'s
+    append action copies its default), so no call sees another's arguments."""
     p = argparse.ArgumentParser(
         prog="finitopos",
         description="exact finite-category workbench: validators, Kan extensions, "

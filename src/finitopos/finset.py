@@ -234,10 +234,10 @@ class UnionFind:
 
 
 def _search_order(successors: list) -> list:
-    """Object positions in the order the limit search assigns them: next
-    the least object that a morphism from an assigned one reaches (its value
+    """Positions in the order the `families` search assigns them: next the
+    least position that a constraint from an assigned one reaches (its value
     is then forced), else the least unassigned one.  This depends only on
-    which objects are assigned, never on their values, so it is the same on
+    which positions are assigned, never on their values, so it is the same on
     every branch and is fixed before the search starts."""
     order, unassigned, reached = [], set(range(len(successors))), set()
     while unassigned:
@@ -249,40 +249,32 @@ def _search_order(successors: list) -> list:
     return order
 
 
-def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, dict]:
-    """Set of compatible families, with projections.
+def families(carriers: list, arrows: Iterable, budget: Budget | int | None = None) -> list:
+    """Compatible families, in search order: tuples t with t[i] in
+    carriers[i] and table[t[j]] == t[k] for every (j, k, table) in `arrows`.
 
-    Elements are tuples in index-object order.  Computed by backtracking with
-    forward propagation rather than by materializing the full product: a
-    morphism out of an assigned object forces the value at its codomain, which
-    keeps representable-heavy diagrams (exponentials) tractable.
-
-    The order in which objects are assigned is fixed before the search starts
-    (`_search_order`), so each step's forcing morphisms and consistency checks
-    against earlier steps are tabulated once, and the search runs on an
-    explicit stack, whatever the size of the index.  Every candidate tried
-    charges the budget once.
+    Backtracking with forward propagation, not a filter over the product: a
+    constraint out of an assigned position forces the value at its target.
+    The assignment order is fixed before the search (`_search_order`), so
+    each step's forcing tables and checks against earlier steps are
+    tabulated once, and the search runs on an explicit stack.  Every
+    candidate tried charges the budget once.
     """
-    b = ensure_budget(budget, "limit")
-    C = D.index
-    objs = list(C.objects)
-    if not objs:
-        lim = FinSet.of([()])
-        return lim, {}
-    pos = {o: i for i, o in enumerate(objs)}
-    # constraint tables indexed by endpoint position
-    incoming: list = [[] for _ in objs]  # [(j, table)] for f: j -> o
-    outgoing: list = [[] for _ in objs]  # [(k, table)] for f: o -> k
-    loops: list = [[] for _ in objs]
-    for m in C.morphisms:
-        j, k, t = pos[C.dom[m]], pos[C.cod[m]], D.mor(m).table
+    b = ensure_budget(budget, "families")
+    n = len(carriers)
+    if not n:
+        return [()]
+    incoming: list = [[] for _ in range(n)]  # [(j, table)] for j -> p
+    outgoing: list = [[] for _ in range(n)]  # [(k, table)] for p -> k
+    loops: list = [[] for _ in range(n)]
+    for j, k, t in arrows:
         if j == k:
             loops[j].append(t)
         else:
             incoming[k].append((j, t))
             outgoing[j].append((k, t))
     order = _search_order([[k for k, _ in out] for out in outgoing])
-    step_of = [0] * len(objs)
+    step_of = [0] * n
     for s, p in enumerate(order):
         step_of[p] = s
 
@@ -291,7 +283,7 @@ def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, di
     # and the values every loop fixes (None when that is all of them)
     values, forcing, checks, fixed = [], [], [], []
     for s, p in enumerate(order):
-        carrier = D.obj(objs[p]).elements
+        carrier = carriers[p]
         values.append(carrier)
         forcing.append([(step_of[j], t) for j, t in incoming[p] if step_of[j] < s])
         checks.append([(step_of[k], t) for k, t in outgoing[p] if step_of[k] < s])
@@ -309,11 +301,11 @@ def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, di
         return (v,)
 
     charge = b.charge
-    last = len(order) - 1
+    last = n - 1
     results: list[tuple] = []
-    vals: list = [None] * len(order)
-    cands: list = [()] * len(order)
-    tried = [0] * len(order)
+    vals: list = [None] * n
+    cands: list = [()] * n
+    tried = [0] * n
     s = 0
     cands[0] = candidates(0, vals)
     while s >= 0:
@@ -338,12 +330,20 @@ def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, di
                 s += 1
                 cands[s] = candidates(s, vals)
                 tried[s] = 0
-    lim = FinSet.of(results)
-    projs = {
-        o: FinFn(lim, D.obj(o), tuple([(t, t[i]) for t in lim.elements]))
-        for i, o in enumerate(objs)
-    }
-    return lim, projs
+    return results
+
+
+def limit(D: SetDiagram, budget: Budget | int | None = None) -> tuple[FinSet, dict]:
+    """Set of compatible families, tuples in index-object order, with
+    projections: `families` with one constraint per index morphism."""
+    C, objs = D.index, list(D.index.objects)
+    pos = {o: i for i, o in enumerate(objs)}
+    lim = FinSet.of(families(
+        [D.obj(o).elements for o in objs],
+        [(pos[C.dom[m]], pos[C.cod[m]], D.mor(m).table) for m in C.morphisms],
+        ensure_budget(budget, "limit")))
+    return lim, {o: FinFn(lim, D.obj(o), tuple([(t, t[i]) for t in lim.elements]))
+                 for i, o in enumerate(objs)}
 
 
 def colimit(D: SetDiagram) -> tuple[FinSet, dict]:

@@ -701,9 +701,9 @@ def find_pi_witness(max_n: int = 3, max_instances: int = 2000,
                                                    "max_instances": max_instances},
                                            stats={"tested": tested},
                                            detail="instance cap reached")
-                        b_.charge()
-                        tested += 1
                         try:
+                            b_.charge()
+                            tested += 1
                             pi = dependent_product(ff, embedded_map(g, FZ, FX),
                                                    b_.sub("dependent_product"))
                         except BudgetExceeded:

@@ -2,10 +2,11 @@
 limits, exponentials, and dependent products.
 
 A presheaf acts contravariantly: for f: c -> d the action is a function
-at(d) -> at(c).  Natural transformations are enumerated as the limit of the
-target over the (opposite) category of elements of the source, which routes
-every enumeration through one audited backtracking loop (finset.limit, whose
-object order is fixed before the search starts).
+at(d) -> at(c).  Natural transformations are the compatible families of the
+target over the elements of the source: each arrow of el(X) becomes one
+constraint of `finset.families`, one audited backtracking loop whose
+position order is fixed before the search starts.  No category of elements
+is built for this; `category_of_elements` serves dependent products.
 
 `exponential_presheaf(X, Y)` builds Y^X alone: its carriers are encodings of
 natural families, and its action transposes an encoding by position.
@@ -30,13 +31,8 @@ from dataclasses import dataclass
 
 from .budget import Budget, ensure_budget
 from .errors import InvalidStructure, ShapeMismatch
-from .fincat import (
-    FinCategory,
-    FinFunctor,
-    Violation,
-    opposite,
-)
-from .finset import FinFn, FinSet, SetDiagram, canon_key, limit
+from .fincat import FinCategory, FinFunctor, Violation
+from .finset import FinFn, FinSet, canon_key, families
 
 
 def ename(e) -> str:
@@ -312,30 +308,33 @@ def category_of_elements(P: Presheaf) -> Elements:
 def nat_transformations(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None) -> list[PresheafMap]:
     """Complete duplicate-free enumeration of X => Y, canonically sorted.
 
-    Computed as the limit of Y over el(X)^op: a compatible family picks
-    alpha_c(x) in Y(c) per element (c, x), and the el-morphism constraints
-    are exactly naturality.
+    A family picks alpha_c(x) in Y(c) per element (c, x) of el(X); each
+    arrow of el(X), phi: c -> d at y in X(d), is the naturality constraint
+    Y(phi)(alpha_d(y)) = alpha_c(X(phi)(y)) of `finset.families`.  No
+    category is built; elements take the positions `category_of_elements`
+    names them in, which fixes the search order and every budget charge.
     """
     if X.base != Y.base:
         raise ShapeMismatch("natural transformations require a common base")
     b = ensure_budget(budget, "nat_transformations")
-    el = category_of_elements(X)
-    idx = opposite(el.category)
-    on_objects = {o: Y.at[el.decode[o][0]] for o in idx.objects}
-    # in the opposite index an el-arrow over phi: c -> d runs (d,y) -> (c,x)
-    # and acts by Y.act[phi]: Y(d) -> Y(c)
-    on_morphisms = {m: Y.act[el.projection.mor_map[m]] for m in el.category.morphisms}
-    lim, _ = limit(SetDiagram(idx, on_objects, on_morphisms), b)
+    C = X.base
+    elems = sorted(((f"{c}@{ename(x)}", c, x) for c in C.objects for x in X.at[c].elements),
+                   key=lambda e: e[0])
+    pos = {(c, x): i for i, (_, c, x) in enumerate(elems)}
+    arrows = []
+    for phi in C.morphisms:
+        c, d, t = C.dom[phi], C.cod[phi], Y.act[phi].table
+        arrows += [(pos[(d, y)], pos[(c, x)], t) for y, x in X.act[phi].mapping]
+    fams = families([Y.at[c].elements for _, c, _ in elems], arrows, b)
     # each component is read off a family by the positions of its elements
-    pos = {o: i for i, o in enumerate(idx.objects)}
-    plan = [(c, X.at[c], Y.at[c], [pos[el.obj_id[(c, x)]] for x in X.at[c].elements])
-            for c in X.base.objects]
+    plan = [(c, X.at[c], Y.at[c], [pos[(c, x)] for x in X.at[c].elements])
+            for c in C.objects]
     # encodings of two families over the same X first differ at the first
     # element, in encoding order, where the families differ, so sorting by the
     # values in that order sorts by canon_key of the encoding
     flat = [i for _, _, _, at_c in plan for i in at_c]
     out = []
-    for fam in sorted(lim.elements, key=lambda fam: [canon_key(fam[i]) for i in flat]):
+    for fam in sorted(fams, key=lambda fam: [canon_key(fam[i]) for i in flat]):
         out.append(PresheafMap(X, Y, {
             c: FinFn(Xc, Yc, tuple([(x, fam[i]) for x, i in zip(Xc.elements, at_c)]))
             for c, Xc, Yc, at_c in plan
@@ -413,18 +412,20 @@ def exponential(X: Presheaf, Y: Presheaf, budget: Budget | int | None = None):
 
 
 def _over_to_elements(f: PresheafMap, el_y: Elements) -> Presheaf:
-    """Presheaf on el(target) with fiber f^-1(y) at (c, y)."""
-    X, Y = f.source, f.target
+    """Presheaf on el(target) with fiber f^-1(y) at (c, y).  Each fiber is
+    filtered from X(c) in its order, so it is canonical without a sort."""
+    X = f.source
     elC = el_y.category
-    at = {}
-    for oid in elC.objects:
-        c, y = el_y.decode[oid]
-        at[oid] = FinSet.of(x for x in X.at[c] if f.components[c](x) == y)
+    fiber: dict = {}
+    for c in X.base.objects:
+        for x, y in f.components[c].mapping:
+            fiber.setdefault((c, y), []).append(x)
+    at = {oid: FinSet(tuple(fiber.get(el_y.decode[oid], ()))) for oid in elC.objects}
     act = {}
     for m in elC.morphisms:
-        phi = el_y.projection.mor_map[m]
-        o1, o2 = elC.dom[m], elC.cod[m]
-        act[m] = FinFn.of(at[o2], at[o1], {x: X.act[phi](x) for x in at[o2]})
+        xt = X.act[el_y.projection.mor_map[m]].table
+        src = at[elC.cod[m]]
+        act[m] = FinFn(src, at[elC.dom[m]], tuple([(x, xt[x]) for x in src.elements]))
     return Presheaf(elC, at, act)
 
 
@@ -460,27 +461,22 @@ def dependent_product(f: PresheafMap, g: PresheafMap, budget: Budget | int | Non
     z_tilde = _over_to_elements(g, el_x)
     w_tilde = kan.ran(el_f, z_tilde, b).output
 
-    at = {}
-    for c in C.objects:
-        elems = []
-        for y in Y.at[c]:
-            oid = el_y.obj_id[(c, y)]
-            for w in w_tilde.at[oid]:
-                elems.append((y, w))
-        at[c] = FinSet.of(elems)
+    # (y, w) listed y by y, each y's w in its carrier's order: canonical order
+    at = {c: FinSet(tuple([(y, w) for y in Y.at[c].elements
+                           for w in w_tilde.at[el_y.obj_id[(c, y)]].elements]))
+          for c in C.objects}
     act = {}
     for m in C.morphisms:
         c, d = C.dom[m], C.cod[m]  # m: c -> d; W(m): W(d) -> W(c)
-        table = {}
-        for (y2, w2) in at[d]:
-            y1 = Y.act[m](y2)
-            o1 = el_y.obj_id[(c, y1)]
-            o2 = el_y.obj_id[(d, y2)]
-            em = el_y.mor_id[(m, o1, o2)]
-            table[(y2, w2)] = (y1, w_tilde.act[em](w2))
-        act[m] = FinFn.of(at[d], at[c], table)
+        yt, pairs = Y.act[m].table, []
+        for y2, w2 in at[d].elements:
+            y1 = yt[y2]
+            em = el_y.mor_id[(m, el_y.obj_id[(c, y1)], el_y.obj_id[(d, y2)])]
+            pairs.append(((y2, w2), (y1, w_tilde.act[em].table[w2])))
+        act[m] = FinFn(at[d], at[c], tuple(pairs))
     W = Presheaf(C, at, act)
-    return PresheafMap(W, Y, {c: {(y, w): y for (y, w) in at[c]} for c in C.objects})
+    return PresheafMap(W, Y, {c: FinFn(at[c], Y.at[c], tuple([(p, p[0]) for p in at[c].elements]))
+                              for c in C.objects})
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,24 @@
 
 Each is written apart from the program's own path to the same result:
 `limit_by_product` filters the whole cartesian product instead of
-searching, `presheaf_iso` scans every natural transformation for a
-pointwise bijection, and `ran_transpose` builds the adjunct across
-L* -| L_* family by family.
+searching, `nat_by_limit` takes the limit of the target over the opposite
+of the built category of elements, `presheaf_iso` scans every natural
+transformation for a pointwise bijection, and `ran_transpose` builds the
+adjunct across L* -| L_* family by family.
 """
 
 import itertools
 
-from finitopos.finset import FinFn, FinSet, SetDiagram
+from finitopos.fincat import opposite
+from finitopos.finset import FinFn, FinSet, SetDiagram, canon_key, limit
 from finitopos.kan import KanResult, restrict
-from finitopos.presheaf import Presheaf, PresheafMap, nat_transformations, yoneda
+from finitopos.presheaf import (
+    Presheaf,
+    PresheafMap,
+    category_of_elements,
+    nat_transformations,
+    yoneda,
+)
 
 
 def limit_by_product(D: SetDiagram) -> FinSet:
@@ -25,6 +33,25 @@ def limit_by_product(D: SetDiagram) -> FinSet:
         if all(D.mor(m)(t[pos[C.dom[m]]]) == t[pos[C.cod[m]]] for m in C.morphisms):
             good.append(t)
     return FinSet.of(good)
+
+
+def nat_by_limit(X: Presheaf, Y: Presheaf, budget=None) -> list:
+    """Nat(X, Y) as the limit of Y over el(X)^op, with el(X) built as a
+    category: an el-arrow over phi: c -> d runs (d, y) -> (c, x) in the
+    opposite and acts by Y(phi).  Families are read off the projections and
+    sorted by the canonical key of their whole encodings."""
+    el = category_of_elements(X)
+    idx = opposite(el.category)
+    on_objects = {o: Y.at[el.decode[o][0]] for o in idx.objects}
+    on_morphisms = {m: Y.act[el.projection.mor_map[m]] for m in el.category.morphisms}
+    lim, projs = limit(SetDiagram(idx, on_objects, on_morphisms), budget)
+    fams = [
+        PresheafMap(X, Y, {c: FinFn.of(X.at[c], Y.at[c],
+                                       {x: projs[el.obj_id[(c, x)]](fam) for x in X.at[c]})
+                           for c in X.base.objects})
+        for fam in lim
+    ]
+    return sorted(fams, key=lambda m: canon_key(m.encoding()))
 
 
 def presheaf_iso(X: Presheaf, Y: Presheaf) -> PresheafMap | None:

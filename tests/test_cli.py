@@ -168,6 +168,27 @@ def test_search_budget_exhaustion_is_inconclusive(capsys):
     assert code == EXIT_INCONCLUSIVE
 
 
+def test_pi_search_budget_exhaustion_writes_an_inconclusive_report(tmp_path, capsys):
+    out = tmp_path / "pi.json"
+    code = main(["search", "pi-witness", "--bound", "2", "--budget", "40", "--out", str(out)])
+    assert code == EXIT_INCONCLUSIVE
+    rep = json.loads(out.read_text())
+    assert rep["verdict"]["outcome"] == "INCONCLUSIVE"
+    assert rep["bounds"] == {"budget": 40, "max_n": 2}
+    assert rep["corpus_stats"] == {"tested": 40}
+
+
+def test_main_calls_share_one_parser_but_not_arguments(tmp_path, capsys):
+    from finitopos.cli import build_parser
+    assert build_parser() is build_parser()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["validate", "--fixture", "lattice-3-2", "--out", str(first)]) == EXIT_OK
+    assert main(["validate", "--fixture", "chain-2", "--out", str(second)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("fixture lattice-3-2: OK") == 1 and out.count("fixture chain-2: OK") == 1
+    assert json.loads(second.read_text())["corpus_stats"] == {"checked": 1, "problems": 0}
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "sle-failure", "--max-vertices", "-1"],
     ["search", "sle-failure", "--max-edges", "-1"],

@@ -8,6 +8,7 @@ orbit computation.
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from finitopos.budget import Budget
 from finitopos.errors import InvalidStructure, ShapeMismatch
 from finitopos.finset import (
     FinFn,
@@ -17,6 +18,7 @@ from finitopos.finset import (
     canon_key,
     canon_sort,
     colimit,
+    families,
     limit,
 )
 from finitopos.fincat import build_category, poset_category, terminal_category
@@ -229,3 +231,18 @@ def test_limit_with_empty_fiber_is_empty():
                       {idx.identity["pt"]: FinFn.identity(FinSet.of([]))})
     lim, _ = limit(D)
     assert len(lim) == 0
+
+
+def test_families_of_no_carriers_and_of_an_empty_carrier():
+    assert families([], []) == [()]
+    assert families([(0, 1), ()], []) == []
+    assert families([()], [(0, 0, {})]) == []
+
+
+def test_families_follow_constraints_and_charge_each_candidate():
+    # position 1 is forced by position 0; the loop at 2 keeps its fixed points
+    b = Budget(100)
+    got = families([(0, 1), ("a", "b", "c"), (0, 1, 2)],
+                   [(0, 1, {0: "c", 1: "a"}), (2, 2, {0: 0, 1: 2, 2: 2})], b)
+    assert got == [(0, "c", 0), (0, "c", 2), (1, "a", 0), (1, "a", 2)]
+    assert b.spent == 2 + 2 + 2 * 3

@@ -442,6 +442,14 @@ def test_sle_search_budget_exhaustion_is_inconclusive():
     assert v.bounds["budget"] == 5000
 
 
+def test_pi_search_budget_exhaustion_is_inconclusive():
+    # the 41st instance's own charge is the one that runs out
+    v = graphpre.find_pi_witness(max_n=2, budget=40)
+    assert v.outcome == INCONCLUSIVE
+    assert v.bounds == {"max_n": 2, "budget": 40}
+    assert v.stats == {"tested": 40}
+
+
 def test_sle_witness_replays_from_serialization_alone(sle_verdict):
     import json
     w = json.loads(json.dumps(sle_verdict.witness.to_json()))

@@ -10,17 +10,27 @@ import random
 
 import pytest
 
-from finitopos import fixtures
+from finitopos import fixtures, kan
 from finitopos.budget import Budget
-from finitopos.errors import InvalidStructure, ShapeMismatch
+from finitopos.errors import BudgetExceeded, InvalidStructure, ShapeMismatch
 from finitopos.fincat import terminal_category
 from finitopos.finset import FinFn, FinSet
-from finitopos.graphpre import RefGraph, embed, enumerate_graphs, enumerate_preorders, preorders_of_size
+from finitopos.graphpre import (
+    RefGraph,
+    embed,
+    embed_map,
+    enumerate_graphs,
+    enumerate_preorders,
+    monotone_maps,
+    preorders_of_size,
+)
 from finitopos.presheaf import (
     Presheaf,
     PresheafMap,
+    _over_to_elements,
     category_of_elements,
     dependent_product,
+    elements_functor,
     empty_presheaf,
     exponential,
     exponential_presheaf,
@@ -31,7 +41,7 @@ from finitopos.presheaf import (
     terminal_presheaf,
     yoneda,
 )
-from oracles import presheaf_iso
+from oracles import nat_by_limit, presheaf_iso
 
 
 def _nat_count_oracle(X, Y):
@@ -280,6 +290,58 @@ def test_nat_enumeration_budget_charges_are_pinned():
     assert got == [(2, 22), (8, 106), (10, 554), (6, 644), (20, 806)]
 
 
+def _nat_oracle_pairs():
+    """Pairs over each fixture's presheaf corpus (each holds the empty
+    presheaf), over presheaves whose elements' names sort apart from their
+    canonical order (10 before 2), and over reflexive graphs and embedded
+    preorders, whose endomorphisms d0.s and d1.s of E make non-identity
+    loops in el(X)."""
+    pairs = []
+    for name, bound in (("delta1", 2), ("chain-2", 2), ("chain-3", 2), ("point", 2),
+                        ("bool-2", 1), ("m3", 1)):
+        corpus = presheaf_corpus(fixtures.get_category(name), bound)
+        pairs += [(X, Y) for X in corpus for Y in corpus]
+    mixed = _mixed_presheaves()
+    pairs += [(X, Y) for X in mixed for Y in mixed]
+    graphs = ([G.presheaf() for G in enumerate_graphs(2, 2)]
+              + [embed(P) for P in enumerate_preorders(2)])
+    pairs += [(X, Y) for X in graphs for Y in graphs]
+    return pairs
+
+
+def test_nat_transformations_equal_the_limit_over_the_category_of_elements():
+    """The same families, in the same order, for the same budget charges as
+    the route through category_of_elements, opposite and finset.limit."""
+    for X, Y in _nat_oracle_pairs():
+        b_new, b_old = Budget(10**6), Budget(10**6)
+        got = nat_transformations(X, Y, b_new)
+        want = nat_by_limit(X, Y, b_old)
+        assert [m.encoding() for m in got] == [m.encoding() for m in want]
+        assert b_new.spent == b_old.spent
+
+
+def test_nat_transformations_run_out_of_budget_where_the_limit_does():
+    """A budget one charge short of a search raises on both routes after the
+    same charges; a budget of exactly the charges is enough for both."""
+    checked = 0
+    for X, Y in _nat_oracle_pairs()[::7]:
+        full = Budget(10**6)
+        nat_by_limit(X, Y, full)
+        spent = full.spent
+        if not spent:
+            continue
+        for enumerate_nat in (nat_transformations, nat_by_limit):
+            short = Budget(spent - 1)
+            with pytest.raises(BudgetExceeded):
+                enumerate_nat(X, Y, short)
+            assert short.spent == spent
+            exact = Budget(spent)
+            enumerate_nat(X, Y, exact)
+            assert exact.spent == spent
+        checked += 1
+    assert checked > 50
+
+
 def test_category_of_elements_matches_brute_force():
     """Arrows from a scan of all pairs of elements, and the composite of
     every composable pair of arrows."""
@@ -338,6 +400,59 @@ def test_dependent_product_over_terminal_is_exponential_count():
     # subobject of the exponential fixed by ev-compatibility via Nat counts
     for c in C.objects:
         assert len(pi.source.at[c]) <= len(E.at[c]) or len(E.at[c]) == 0
+
+
+def _dependent_product_reference(f, g):
+    """(Z over el(X), Pi_f g) built as `dependent_product` does, but with
+    every carrier sorted by FinSet.of and every function checked by
+    FinFn.of."""
+    X, Y, Z = f.source, f.target, g.source
+    el_x, el_y = category_of_elements(X), category_of_elements(Y)
+    elC = el_x.category
+    at = {oid: FinSet.of(z for z in Z.at[c] if g.components[c](z) == x)
+          for oid in elC.objects for c, x in [el_x.decode[oid]]}
+    act = {m: FinFn.of(at[elC.cod[m]], at[elC.dom[m]],
+                       {z: Z.act[el_x.projection.mor_map[m]](z) for z in at[elC.cod[m]]})
+           for m in elC.morphisms}
+    z_tilde = Presheaf(elC, at, act)
+    w = kan.ran(elements_functor(f, el_x, el_y), z_tilde).output
+    C = Y.base
+    W_at = {c: FinSet.of((y, v) for y in Y.at[c] for v in w.at[el_y.obj_id[(c, y)]])
+            for c in C.objects}
+    W_act = {}
+    for m in C.morphisms:
+        c, d = C.dom[m], C.cod[m]
+        table = {}
+        for y, v in W_at[d]:
+            y1 = Y.act[m](y)
+            em = el_y.mor_id[(m, el_y.obj_id[(c, y1)], el_y.obj_id[(d, y)])]
+            table[(y, v)] = (y1, w.act[em](v))
+        W_act[m] = FinFn.of(W_at[d], W_at[c], table)
+    W = Presheaf(C, W_at, W_act)
+    proj = {c: FinFn.of(W_at[c], Y.at[c], {p: p[0] for p in W_at[c]}) for c in C.objects}
+    return z_tilde, PresheafMap(W, Y, proj)
+
+
+def test_dependent_product_equals_a_sorted_and_checked_reference():
+    """Over every (f: X -> Y, g: Z -> X) between preorders of size at most
+    2, the fibers of g and Pi_f g with its projection are what FinSet.of
+    and FinFn.of would build, empty fibers among them."""
+    pre = [(P, embed(P)) for P in enumerate_preorders(2)]
+    instances = empty = 0
+    for Y, FY in pre:
+        for X, FX in pre:
+            for f in monotone_maps(X, Y):
+                ff = embed_map(f, X, Y)
+                for Z, _ in pre:
+                    for g in monotone_maps(Z, X):
+                        gg = embed_map(g, Z, X)
+                        z_ref, pi_ref = _dependent_product_reference(ff, gg)
+                        z_tilde = _over_to_elements(gg, category_of_elements(FX))
+                        assert z_tilde.encoding() == z_ref.encoding()
+                        assert dependent_product(ff, gg) == pi_ref
+                        instances += 1
+                        empty += any(len(s) == 0 for s in z_tilde.at.values())
+    assert instances == 438 and empty > 0
 
 
 def test_corpus_is_deterministic_and_deduped():
