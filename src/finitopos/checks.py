@@ -2,15 +2,21 @@
 semi-left-exactness, stable units, exponential ideals, local connectedness,
 and local cartesian closure of finite lattice fixtures.
 
-Every PASS is bound-relative (the exhausted search space is recorded) and
-every FAIL carries a witness that re-verifies from its serialized form via
-`reverify`, independently of the search loop that produced it.
+Every PASS is bound-relative: the exhausted search space is recorded.
+Every FAIL carries a witness, a JSON-ready dict whose `kind` sits at top
+level or, in a square witness (`verdicts.square_witness`), under `square`.
+`reverify` replays a witness from its own data alone, through `REPLAYERS`,
+the one table from kind to replayer.  A replayer reruns the test the search
+ran (`_square_failure`, `_lcc_candidates`, graphpre's `_sle_instance_fails`,
+`_pi_violation` and `_sieve_factors`) and trusts no stored verdict; the
+kinds that have no replayer are listed, with the reason, at `REPLAYERS`.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from . import graphpre
 from .budget import Budget, ensure_budget
 from .errors import NonUnique, ShapeMismatch
 from .fincat import (
@@ -21,11 +27,19 @@ from .fincat import (
     check_adjunction,
     exponential_object,
     find_inverse,
-    mediator_census,
+    first_bad_cone,
+    mediators,
     pullback,
     terminal_object,
 )
-from .verdicts import FAIL, INCONCLUSIVE, PASS, MediatorAnalysis, Verdict, WitnessSquare
+from .report import (
+    category_from_json,
+    category_to_json,
+    presheaf_map_to_json,
+    reflection_from_json,
+    reflection_to_json,
+)
+from .verdicts import FAIL, INCONCLUSIVE, PASS, Verdict, mediator_analysis, replay_refuted, square_witness
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -36,38 +50,28 @@ def _require_reflection(R: Reflection) -> None:
         raise ShapeMismatch("input reflection fails its adjunction check")
 
 
-def _is_pullback_square(C: FinCategory, apex: str, legs: tuple, cospan: tuple):
-    """(True, None) or (False, first failing MediatorAnalysis)."""
-    f, g = cospan
-    p1, p2 = legs
+def _square_failure(C: FinCategory, apex: str, legs: tuple, cospan: tuple):
+    """None if apex --legs--> (X, Y) over the cospan (f, g) is a pullback
+    square; else (cone, count): the first test cone with count != 1
+    mediators, or the reason the square does not commute."""
+    (f, g), (p1, p2) = cospan, legs
     if C.compose(f, p1) != C.compose(g, p2):
-        return False, MediatorAnalysis(cone={"reason": "square does not commute"}, count=0)
-    for (z, m1, m2, n) in mediator_census(C, apex, legs, cospan):
-        if n != 1:
-            return False, MediatorAnalysis(cone={"z": z, "m1": m1, "m2": m2}, count=n)
-    return True, None
+        return {"reason": "square does not commute"}, 0
+    bad = first_bad_cone(C, apex, legs, cospan)
+    if bad is None:
+        return None
+    z, m1, m2, n = bad
+    return {"z": z, "m1": m1, "m2": m2}, n
 
 
 def _product_mediator(C: FinCategory, src: str, product: tuple, m1: str, m2: str) -> str:
     """The unique h: src -> Q with rho1.h = m1 and rho2.h = m2, for the product
     cone product = (Q, rho1, rho2); raises NonUnique unless exactly one exists."""
     Q, rho1, rho2 = product
-    cands = [h for h in C.hom(src, Q)
-             if C.compose(rho1, h) == m1 and C.compose(rho2, h) == m2]
+    cands = mediators(C, src, Q, (rho1, rho2), (m1, m2))
     if len(cands) != 1:
         raise NonUnique(f"{len(cands)} mediators {src} -> {Q} into the product")
     return cands[0]
-
-
-def _category_square_witness(R: Reflection, square: dict, analysis: MediatorAnalysis,
-                             f_image_leg: str, l_image: dict) -> WitnessSquare:
-    from .report import reflection_to_json
-
-    data = dict(square)
-    data["reflection"] = reflection_to_json(R)
-    data["kind"] = "category-square"
-    return WitnessSquare(square=data, f_image_leg=f_image_leg,
-                         l_image=l_image, analysis=analysis)
 
 
 # ---------------------------------------------------------------------------
@@ -140,16 +144,17 @@ def _check_l_preserves_pullbacks(R: Reflection, cospans, property_name: str,
         p, p1, p2 = pb
         Lm = R.L.mor_map
         apex = R.L.obj_map[p]
-        ok, analysis = _is_pullback_square(A, apex, (Lm[p1], Lm[p2]), (Lm[f], Lm[g]))
-        if not ok:
+        bad = _square_failure(A, apex, (Lm[p1], Lm[p2]), (Lm[f], Lm[g]))
+        if bad is not None:
             square = {
+                "kind": "category-square", "reflection": reflection_to_json(R),
                 "apex": p, "p1": p1, "p2": p2, "f": f, "g": g,
                 "corners": {"X": B.dom[f], "Y": B.dom[g], "Z": B.cod[f]},
             }
             l_image = {
                 "apex": apex, "p1": Lm[p1], "p2": Lm[p2], "f": Lm[f], "g": Lm[g],
             }
-            w = _category_square_witness(R, square, analysis, f_image_leg, l_image)
+            w = square_witness(square, f_image_leg, l_image, *bad)
             return Verdict(property_name, FAIL, witness=w,
                            bounds={"cospans": tested},
                            stats={"tested": tested, "missing_pullback": len(skipped)})
@@ -318,21 +323,15 @@ def check_locally_connected(L: FinFunctor, bound: int = 200, carrier_bound: int 
                                 for x in rB.output.at[obj]
                             ]
                             if len(set(image)) != len(image) or set(image) != pb_elems:
-                                from .report import presheaf_map_to_json
-                                w = WitnessSquare(
-                                    square={
-                                        "kind": "presheaf-square",
-                                        "u": presheaf_map_to_json(u),
-                                        "a": presheaf_map_to_json(amap),
-                                    },
-                                    f_image_leg="g",
-                                    l_image={"object": obj,
-                                             "comparison_image": sorted(map(repr, image)),
-                                             "pullback": sorted(map(repr, pb_elems))},
-                                    analysis=MediatorAnalysis(
-                                        cone={"object": obj},
-                                        count=0 if set(image) != pb_elems else 2),
-                                )
+                                w = square_witness(
+                                    {"kind": "presheaf-square",
+                                     "u": presheaf_map_to_json(u),
+                                     "a": presheaf_map_to_json(amap)},
+                                    "g",
+                                    {"object": obj,
+                                     "comparison_image": sorted(map(repr, image)),
+                                     "pullback": sorted(map(repr, pb_elems))},
+                                    {"object": obj}, 0 if set(image) != pb_elems else 2)
                                 return Verdict("locally-connected", FAIL, witness=w,
                                                bounds={"squares": tested,
                                                        "carrier": carrier_bound},
@@ -364,15 +363,10 @@ def check_locally_connected(L: FinFunctor, bound: int = 200, carrier_bound: int 
                             and h.then(down).encoding() == r_up.encoding()
                         ]
                         if not isos:
-                            from .report import presheaf_map_to_json
-                            w = WitnessSquare(
-                                square={"kind": "pi-comparison",
-                                        "f": presheaf_map_to_json(f),
-                                        "g": presheaf_map_to_json(g)},
-                                f_image_leg="n/a",
-                                l_image={},
-                                analysis=MediatorAnalysis(cone={}, count=0),
-                            )
+                            w = square_witness({"kind": "pi-comparison",
+                                                "f": presheaf_map_to_json(f),
+                                                "g": presheaf_map_to_json(g)},
+                                               "n/a", {}, {}, 0)
                             return Verdict("locally-connected", FAIL, witness=w,
                                            bounds={"squares": tested,
                                                    "pi_checks": pi_tested,
@@ -393,6 +387,20 @@ def _leq(C: FinCategory, x: str, y: str) -> bool:
     return len(C.hom(x, y)) > 0
 
 
+def _lcc_candidates(C: FinCategory, x: str, y: str, c: str):
+    """(the b <= y with b /\\ x <= c, whether one of them is greatest), or
+    None if some meet b /\\ x is missing.  Pullback along x -> y has a right
+    adjoint at c <= x iff a greatest candidate exists."""
+    cands = []
+    for b in C.objects:
+        meet = binary_product(C, b, x)
+        if meet is None:
+            return None
+        if _leq(C, b, y) and _leq(C, meet[0], c):
+            cands.append(b)
+    return cands, any(all(_leq(C, b2, b) for b2 in cands) for b in cands)
+
+
 def check_lcc(C: FinCategory, bound: int | None = None) -> Verdict:
     """For every f: x -> y, search for a right adjoint to pullback between
     slices.  For thin finitely complete categories this is the existence of
@@ -401,13 +409,10 @@ def check_lcc(C: FinCategory, bound: int | None = None) -> Verdict:
         return Verdict("lcc", INCONCLUSIVE, detail="category is not thin")
     if terminal_object(C) is None:
         return Verdict("lcc", INCONCLUSIVE, detail="no terminal object")
-    meets = {}
     for x in C.objects:
         for y in C.objects:
-            p = binary_product(C, x, y)
-            if p is None:
+            if binary_product(C, x, y) is None:
                 return Verdict("lcc", INCONCLUSIVE, detail=f"MissingProduct({x}, {y})")
-            meets[(x, y)] = p[0]
     tested = 0
     for x in sorted(C.objects):
         for y in sorted(C.objects):
@@ -420,14 +425,11 @@ def check_lcc(C: FinCategory, bound: int | None = None) -> Verdict:
                 if bound is not None and tested > bound:
                     return Verdict("lcc", INCONCLUSIVE, detail="bound exhausted",
                                    bounds={"slices": bound})
-                cands = [b for b in C.objects
-                         if _leq(C, b, y) and _leq(C, meets[(b, x)], c)]
-                tops = [b for b in cands if all(_leq(C, b2, b) for b2 in cands)]
-                if not tops:
+                cands, has_top = _lcc_candidates(C, x, y, c)
+                if not has_top:
                     maximal = sorted(
                         b for b in cands
                         if not any(b2 != b and _leq(C, b, b2) for b2 in cands))
-                    from .report import category_to_json
                     w = {"kind": "lcc", "category": category_to_json(C),
                          "x": x, "y": y, "c": c, "maximal_candidates": maximal}
                     return Verdict("lcc", FAIL, witness=w,
@@ -439,55 +441,55 @@ def check_lcc(C: FinCategory, bound: int | None = None) -> Verdict:
 # independent re-verification of serialized witnesses
 
 
-def reverify(witness: dict) -> Verdict:
-    """Re-check a serialized FAIL witness from its own data alone."""
-    kind = witness.get("kind") or witness.get("square", {}).get("kind")
-    if kind == "category-square":
-        return _reverify_category_square(witness)
-    if kind == "lcc":
-        return _reverify_lcc(witness)
-    if kind in ("graph-sle-square", "graph-pi", "graph-sieve"):
-        from . import graphpre
-        return graphpre.reverify_graph_witness(witness)
-    raise ShapeMismatch(f"unknown witness kind {kind!r}")
-
-
-def _reverify_category_square(w: dict) -> Verdict:
-    from .report import reflection_from_json
-
-    sq = w["square"] if "square" in w else w
+def _replay_category_square(w: dict) -> Verdict:
+    sq = w["square"]
     R = reflection_from_json(sq["reflection"])
     A, B = R.A, R.B
     f, g, p1, p2, p = sq["f"], sq["g"], sq["p1"], sq["p2"], sq["apex"]
+    if not (all(m in B.dom for m in (f, g, p1, p2))
+            and B.dom[p1] == B.dom[p2] == p and B.cod[p1] == B.dom[f]
+            and B.cod[p2] == B.dom[g] and B.cod[f] == B.cod[g]):
+        return replay_refuted("stored square is not a square")
     # the stored square must be the pullback it claims to be
-    ok, _ = _is_pullback_square(B, p, (p1, p2), (f, g))
-    if not ok:
-        return Verdict("witness-replay", FAIL,
-                       witness={"kind": "replay", "reason": "stored square is not a pullback"})
+    if _square_failure(B, p, (p1, p2), (f, g)) is not None:
+        return replay_refuted("stored square is not a pullback")
     Lm = R.L.mor_map
-    ok, analysis = _is_pullback_square(
-        A, R.L.obj_map[p], (Lm[p1], Lm[p2]), (Lm[f], Lm[g]))
-    if ok:
-        return Verdict("witness-replay", FAIL,
-                       witness={"kind": "replay", "reason": "L-image square is a pullback after all"})
-    return Verdict("witness-replay", PASS, stats={"analysis": analysis.to_json()})
+    bad = _square_failure(A, R.L.obj_map[p], (Lm[p1], Lm[p2]), (Lm[f], Lm[g]))
+    if bad is None:
+        return replay_refuted("L-image square is a pullback after all")
+    return Verdict("witness-replay", PASS, stats={"analysis": mediator_analysis(*bad)})
 
 
-def _reverify_lcc(w: dict) -> Verdict:
-    from .report import category_from_json
-
+def _replay_lcc(w: dict) -> Verdict:
     C = category_from_json(w["category"])
     x, y, c = w["x"], w["y"], w["c"]
-    mx = {}
-    for b in C.objects:
-        p = binary_product(C, b, x)
-        if p is None:
-            return Verdict("witness-replay", FAIL,
-                           witness={"kind": "replay", "reason": "missing meet"})
-        mx[b] = p[0]
-    cands = [b for b in C.objects if _leq(C, b, y) and _leq(C, mx[b], c)]
-    tops = [b for b in cands if all(_leq(C, b2, b) for b2 in cands)]
-    if tops:
-        return Verdict("witness-replay", FAIL,
-                       witness={"kind": "replay", "reason": "right adjoint exists after all"})
+    if not (_leq(C, x, y) and _leq(C, c, x)):
+        return replay_refuted("stored slice does not have c <= x <= y")
+    found = _lcc_candidates(C, x, y, c)
+    if found is None:
+        return replay_refuted("missing meet")
+    cands, has_top = found
+    if has_top:
+        return replay_refuted("right adjoint exists after all")
     return Verdict("witness-replay", PASS, stats={"candidates": sorted(cands)})
+
+
+# kind -> replayer.  Kinds without one: presheaf-square and pi-comparison
+# (the witness does not carry L), graph-product and graph-exponential (a
+# FAIL would contradict the paper's theorem), validate and replay (no claim).
+REPLAYERS = {
+    "category-square": _replay_category_square,
+    "lcc": _replay_lcc,
+    "graph-sle-square": graphpre.replay_sle_square,
+    "graph-pi": graphpre.replay_pi,
+    "graph-sieve": graphpre.replay_sieve,
+}
+
+
+def reverify(witness: dict) -> Verdict:
+    """Re-check a serialized FAIL witness from its own data alone, by the
+    replayer of its kind, read at top level or under `square`."""
+    kind = witness.get("kind") or witness.get("square", {}).get("kind")
+    if kind not in REPLAYERS:
+        raise ShapeMismatch(f"unknown witness kind {kind!r}")
+    return REPLAYERS[kind](witness)

@@ -158,7 +158,7 @@ def _emit(args, verdict: Verdict, bounds: dict) -> int:
         command=_command_line(args),
         bounds=bounds,
         verdict=verdict,
-        witness=verdict.to_json().get("witness"),
+        witness=verdict.witness,
         corpus_stats=verdict.stats,
     )
     if args.out is not None:

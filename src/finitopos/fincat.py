@@ -512,18 +512,27 @@ def terminal_object(C: FinCategory) -> str | None:
     return None
 
 
-def _is_limit_cone(C: FinCategory, apex: str, legs: dict, shape_check) -> bool:
-    """legs: obj-of-diagram -> morphism apex -> corner.  shape_check(z, cand)
-    yields candidate cones from z as dicts; exhaustive mediator uniqueness."""
+def mediators(C: FinCategory, z: str, apex: str, legs: tuple, cone: tuple) -> list:
+    """The h: z -> apex with legs[i].h = cone[i] for each i, in hom order."""
+    return [h for h in C.hom(z, apex)
+            if all(C.compose(leg, h) == m for leg, m in zip(legs, cone))]
+
+
+def first_bad_cone(C: FinCategory, apex: str, legs: tuple, cospan: tuple | None = None):
+    """None if apex --legs--> (X, Y) is a product cone, or with a cospan
+    (f, g) a pullback cone; else (z, m1, m2, count) for the first test cone
+    z --(m1, m2)--> (X, Y), commuting over the cospan if one is given, that
+    has count != 1 mediators.  Test cones come z, then m1, then m2."""
+    x, y = C.cod[legs[0]], C.cod[legs[1]]
     for z in C.objects:
-        for cone in shape_check(z):
-            count = 0
-            for h in C.hom(z, apex):
-                if all(C.compose(legs[k], h) == cone[k] for k in legs):
-                    count += 1
-            if count != 1:
-                return False
-    return True
+        for m1 in C.hom(z, x):
+            for m2 in C.hom(z, y):
+                if cospan is not None and C.compose(cospan[0], m1) != C.compose(cospan[1], m2):
+                    continue
+                n = len(mediators(C, z, apex, legs, (m1, m2)))
+                if n != 1:
+                    return z, m1, m2, n
+    return None
 
 
 def binary_product(C: FinCategory, x: str, y: str):
@@ -531,9 +540,7 @@ def binary_product(C: FinCategory, x: str, y: str):
     for p in C.objects:
         for pi1 in C.hom(p, x):
             for pi2 in C.hom(p, y):
-                def cones(z):
-                    return [{"1": f, "2": g} for f in C.hom(z, x) for g in C.hom(z, y)]
-                if _is_limit_cone(C, p, {"1": pi1, "2": pi2}, cones):
+                if first_bad_cone(C, p, (pi1, pi2)) is None:
                     return p, pi1, pi2
     return None
 
@@ -550,38 +557,10 @@ def pullback(C: FinCategory, f: str, g: str):
     for p in C.objects:
         for p1 in C.hom(p, x):
             for p2 in C.hom(p, y):
-                if C.compose(f, p1) != C.compose(g, p2):
-                    continue
-                def cones(z):
-                    return [
-                        {"1": m1, "2": m2}
-                        for m1 in C.hom(z, x)
-                        for m2 in C.hom(z, y)
-                        if C.compose(f, m1) == C.compose(g, m2)
-                    ]
-                if _is_limit_cone(C, p, {"1": p1, "2": p2}, cones):
+                if (C.compose(f, p1) == C.compose(g, p2)
+                        and first_bad_cone(C, p, (p1, p2), (f, g)) is None):
                     return p, p1, p2
     return None
-
-
-def mediator_census(C: FinCategory, apex: str, legs: tuple, cospan: tuple):
-    """For the square apex --legs--> (X, Y) over cospan (f, g): list of
-    (z, m1, m2, mediator_count) over every commuting test cone."""
-    f, g = cospan
-    p1, p2 = legs
-    x, y = C.dom[f], C.dom[g]
-    out = []
-    for z in C.objects:
-        for m1 in C.hom(z, x):
-            for m2 in C.hom(z, y):
-                if C.compose(f, m1) != C.compose(g, m2):
-                    continue
-                n = sum(
-                    1 for h in C.hom(z, apex)
-                    if C.compose(p1, h) == m1 and C.compose(p2, h) == m2
-                )
-                out.append((z, m1, m2, n))
-    return out
 
 
 def exponential_object(C: FinCategory, base: str, exp: str):
@@ -604,21 +583,12 @@ def _exponential_ok(C, base, exp, e, p, pi1, pi2, ev) -> bool:
         if pz is None:
             return False
         q, q1, q2 = pz
+        # lam x id : q -> p for each lam: z -> e, the one mediator of
+        # (lam.q1, q2), since p is a product
+        meds = [mediators(C, q, p, (pi1, pi2), (C.compose(lam, q1), q2))[0]
+                for lam in C.hom(z, e)]
         for m in C.hom(q, exp):
-            count = 0
-            for lam in C.hom(z, e):
-                # lam x id : q -> p is the mediator of (lam.q1, q2)
-                med = None
-                n = 0
-                for h in C.hom(q, p):
-                    if C.compose(pi1, h) == C.compose(lam, q1) and C.compose(pi2, h) == q2:
-                        med = h
-                        n += 1
-                if n != 1:
-                    return False
-                if C.compose(ev, med) == m:
-                    count += 1
-            if count != 1:
+            if sum(C.compose(ev, h) == m for h in meds) != 1:
                 return False
     return True
 

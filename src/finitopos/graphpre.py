@@ -31,7 +31,7 @@ from .presheaf import (
     nat_transformations,
     pullback_presheaf,
 )
-from .verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS, MediatorAnalysis, Verdict, WitnessSquare
+from .verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS, Verdict, replay_refuted, square_witness
 
 
 @lru_cache(maxsize=1)
@@ -350,14 +350,16 @@ def is_embedded_preorder(X: Presheaf):
         dup = sorted(p for p in set(pairs) if pairs.count(p) > 1)[0]
         return False, f"parallel edges over {dup!r}"
     rel = set(pairs) | {(v, v) for v in X.at["V"]}
-    # successors listed in rel's own iteration order, so the first missing
-    # edge found is the one a scan of all pairs of rel would find first
     succ: dict = {}
     for (b, c) in rel:
         succ.setdefault(b, []).append(c)
     for (a, b) in rel:
         for c in succ[b]:
             if (a, c) not in rel:
+                # named by canonical order, not by the set's hash-seeded
+                # iteration order
+                a, c = min(((a, c) for (a, b) in rel for c in succ[b]
+                            if (a, c) not in rel), key=canon_key)
                 return False, f"missing transitive edge {a!r} -> {c!r}"
     return True, ""
 
@@ -597,10 +599,8 @@ def _sle_witness_verdict(X, P, Q, u, f, bad, tested, bounds) -> Verdict:
     # the projections are jointly injective on carriers, so the identity is
     # the only candidate mediator from the true preorder pullback; it works
     # iff it is monotone, i.e. iff no relation is missing
-    LW = bad["LW"]
-    mediators = 1 if all(p in LW.rel for p in bad["pb_rel"]) else 0
-    w = WitnessSquare(
-        square={
+    w = square_witness(
+        {
             "kind": "graph-sle-square",
             "X": X.to_json(),
             "P": P.to_json(),
@@ -609,79 +609,83 @@ def _sle_witness_verdict(X, P, Q, u, f, bad, tested, bounds) -> Verdict:
             "f": {k: elem_to_json(f.components["V"](k))
                   for k in sorted(f.source.at["V"].elements)},
         },
-        f_image_leg="g",
-        l_image={"missing_relations": [[elem_to_json(a), elem_to_json(b)]
-                                       for a, b in bad["missing"]]},
-        analysis=MediatorAnalysis(
-            cone={"description": "the preorder pullback with its projections"},
-            count=mediators),
+        "g",
+        {"missing_relations": [[elem_to_json(a), elem_to_json(b)] for a, b in bad["missing"]]},
+        {"description": "the preorder pullback with its projections"},
+        0 if bad["missing"] else 1,
     )
     return Verdict("sle-failure-search", FAIL, witness=w, bounds=bounds,
                    stats={"squares": tested})
 
 
-def reverify_graph_witness(w: dict) -> Verdict:
-    """Independent replay of serialized graph-level witnesses."""
+def replay_sle_square(w: dict) -> Verdict:
+    """Replay a graph-sle-square witness: rebuild the square through the
+    presheaf pullback and compare the missing relations and the mediator
+    count with the claim."""
     from .report import elem_from_json
 
-    kind = w.get("kind") or w.get("square", {}).get("kind")
-    if kind == "graph-sle-square":
-        sq = w.get("square", w)
-        X = RefGraph.from_json(sq["X"])
-        P = Preorder.from_json(sq["P"])
-        Q = Preorder.from_json(sq["Q"])
-        u = {k: elem_from_json(v) for k, v in sq["u"].items()}
-        PX = X.presheaf()
-        fv = {k: elem_from_json(v) for k, v in sq["f"].items()}
-        f = _graph_map(PX, embed(Q), fv).validate()
-        bad = _sle_instance_fails(P, reflect(PX), embed_map(u, P, Q).validate(), f)
-        if bad is None:
-            return Verdict("witness-replay", FAIL,
-                           witness={"kind": "replay",
-                                    "reason": "square reflects to a pullback after all"})
-        claimed = {(elem_from_json(a), elem_from_json(b))
-                   for a, b in w.get("l_image", {}).get("missing_relations", [])}
-        if claimed and claimed != set(bad["missing"]):
-            return Verdict("witness-replay", FAIL,
-                           witness={"kind": "replay",
-                                    "reason": "missing-relation set differs from the claim"})
-        return Verdict("witness-replay", PASS,
-                       stats={"missing": [[repr(a), repr(b)] for a, b in bad["missing"]]})
-    if kind == "graph-pi":
-        P = Preorder.from_json(w["Y"])
-        X = Preorder.from_json(w["X"])
-        Z = Preorder.from_json(w["Z"])
-        f = {elem_from_json(a): elem_from_json(b) for a, b in w["f"]}
-        g = {elem_from_json(a): elem_from_json(b) for a, b in w["g"]}
-        pi = dependent_product(embed_map(f, X, P).validate(),
-                               embed_map(g, Z, X).validate())
-        ok, why = is_embedded_preorder(pi.source)
-        if ok:
-            return Verdict("witness-replay", FAIL,
-                           witness={"kind": "replay",
-                                    "reason": "dependent product is a preorder after all"})
-        return Verdict("witness-replay", PASS, stats={"violation": why})
-    if kind == "graph-sieve":
-        A0 = Preorder.from_json(w["A0"])
-        B0 = RefGraph.from_json(w["B0"])
-        uv = {k: elem_from_json(v) for k, v in w["u"].items()}
-        PB, FA = B0.presheaf(), embed(A0)
-        u = _graph_map(PB, FA, uv).validate()
-        FLB = embed(reflect(PB))
-        if _sieve_factors(u, FLB, nat_transformations(FLB, PB)):
-            return Verdict("witness-replay", FAIL,
-                           witness={"kind": "replay", "reason": "F(Lu) factors through u"},
-                           stats={"factors": True})
-        return Verdict("witness-replay", PASS, stats={"factors": False})
-    raise ShapeMismatch(f"unknown graph witness kind {kind!r}")
+    sq = w["square"]
+    X = RefGraph.from_json(sq["X"])
+    P = Preorder.from_json(sq["P"])
+    Q = Preorder.from_json(sq["Q"])
+    u = {k: elem_from_json(v) for k, v in sq["u"].items()}
+    PX = X.presheaf()
+    fv = {k: elem_from_json(v) for k, v in sq["f"].items()}
+    f = _graph_map(PX, embed(Q), fv).validate()
+    bad = _sle_instance_fails(P, reflect(PX), embed_map(u, P, Q).validate(), f)
+    if bad is None:
+        return replay_refuted("square reflects to a pullback after all")
+    claimed = {(elem_from_json(a), elem_from_json(b))
+               for a, b in w["l_image"]["missing_relations"]}
+    if claimed != set(bad["missing"]):
+        return replay_refuted("missing-relation set differs from the claim")
+    if w["analysis"]["count"] != (0 if bad["missing"] else 1):
+        return replay_refuted("mediator count differs from the claim")
+    return Verdict("witness-replay", PASS,
+                   stats={"missing": [[repr(a), repr(b)] for a, b in bad["missing"]]})
+
+
+def replay_pi(w: dict) -> Verdict:
+    """Replay a graph-pi witness: its dependent product must not be an
+    embedded preorder."""
+    from .report import elem_from_json
+
+    Y, X, Z = (Preorder.from_json(w[k]) for k in ("Y", "X", "Z"))
+    f = {elem_from_json(a): elem_from_json(b) for a, b in w["f"]}
+    g = {elem_from_json(a): elem_from_json(b) for a, b in w["g"]}
+    why = _pi_violation(embed_map(f, X, Y).validate(), embed_map(g, Z, X).validate(), None)
+    if why is None:
+        return replay_refuted("dependent product is a preorder after all")
+    return Verdict("witness-replay", PASS, stats={"violation": why})
+
+
+def replay_sieve(w: dict) -> Verdict:
+    """Replay a graph-sieve witness: F(L u) must not factor through u."""
+    from .report import elem_from_json
+
+    A0 = Preorder.from_json(w["A0"])
+    B0 = RefGraph.from_json(w["B0"])
+    uv = {k: elem_from_json(v) for k, v in w["u"].items()}
+    PB, FA = B0.presheaf(), embed(A0)
+    u = _graph_map(PB, FA, uv).validate()
+    FLB = embed(reflect(PB))
+    if _sieve_factors(u, FLB, nat_transformations(FLB, PB)):
+        return replay_refuted("F(Lu) factors through u", factors=True)
+    return Verdict("witness-replay", PASS, stats={"factors": False})
 
 
 # ---------------------------------------------------------------------------
 # dependent-product evidence search
 
 
-def find_pi_witness(max_n: int = 3, max_instances: int = 2000,
-                    budget: Budget | int | None = None) -> Verdict:
+def _pi_violation(ff: PresheafMap, fg: PresheafMap, budget: Budget | None) -> str | None:
+    """Why the dependent product along ff of fg is not an embedded preorder,
+    or None if it is one."""
+    ok, why = is_embedded_preorder(dependent_product(ff, fg, budget).source)
+    return None if ok else why
+
+
+def find_pi_witness(max_n: int = 3, budget: Budget | int | None = None) -> Verdict:
     """Look for monotone f: X -> Y, g: Z -> X whose dependent product taken in
     reflexive graphs is not an embedded preorder.  Evidence only; the decisive
     certificate is find_sle_failure.  Each preorder is embedded once per
@@ -695,24 +699,17 @@ def find_pi_witness(max_n: int = 3, max_instances: int = 2000,
                 ff = embedded_map(f, FX, FY)
                 for Z, FZ in pre:
                     for g in monotone_maps(Z, X):
-                        if tested >= max_instances:
-                            return Verdict("pi-witness-search", NOT_FOUND,
-                                           bounds={"max_n": max_n,
-                                                   "max_instances": max_instances},
-                                           stats={"tested": tested},
-                                           detail="instance cap reached")
                         try:
                             b_.charge()
                             tested += 1
-                            pi = dependent_product(ff, embedded_map(g, FZ, FX),
-                                                   b_.sub("dependent_product"))
+                            why = _pi_violation(ff, embedded_map(g, FZ, FX),
+                                                b_.sub("dependent_product"))
                         except BudgetExceeded:
                             return Verdict("pi-witness-search", INCONCLUSIVE,
                                            bounds={"max_n": max_n, "budget": b_.limit},
                                            stats={"tested": tested},
                                            detail="budget exhausted mid-search")
-                        ok, why = is_embedded_preorder(pi.source)
-                        if not ok:
+                        if why is not None:
                             from .report import elem_to_json
                             return Verdict(
                                 "pi-witness-search", FAIL,

@@ -1,9 +1,9 @@
-"""Verdict and witness-square records shared by all checkers."""
+"""The verdict record shared by all checkers, and the builders of its
+square witnesses."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -16,7 +16,7 @@ class Verdict:
     property_name: str
     outcome: str  # PASS | FAIL | INCONCLUSIVE | NOT-FOUND
     bounds: dict = field(default_factory=dict)
-    witness: Any = None
+    witness: dict | None = None  # JSON-ready, with a "kind"
     stats: dict = field(default_factory=dict)
     detail: str = ""
 
@@ -37,48 +37,31 @@ class Verdict:
         return f"{self.property_name}: {self.outcome}{tail}"
 
     def to_json(self) -> dict:
-        w = self.witness
-        if w is not None and hasattr(w, "to_json"):
-            w = w.to_json()
         return {
             "property": self.property_name,
             "outcome": self.outcome,
             "bounds": dict(self.bounds),
-            "witness": w,
+            "witness": self.witness,
             "stats": dict(self.stats),
             "detail": self.detail,
         }
 
 
-@dataclass(frozen=True)
-class MediatorAnalysis:
-    """Why a candidate square is not a pullback: a cone with 0 or >=2 mediators."""
-
-    cone: Any  # serialized test cone
-    count: int
-
-    @property
-    def mode(self) -> str:
-        return "no-mediator" if self.count == 0 else "non-unique-mediator"
-
-    def to_json(self) -> dict:
-        return {"cone": self.cone, "count": self.count, "mode": self.mode}
+def mediator_analysis(cone, count: int) -> dict:
+    """Why a candidate square is not a pullback: a test cone with `count`
+    mediators, 0 or at least 2."""
+    return {"cone": cone, "count": count,
+            "mode": "no-mediator" if count == 0 else "non-unique-mediator"}
 
 
-@dataclass(frozen=True)
-class WitnessSquare:
-    """A commuting square, which leg is an F-image, its L-image, and the
-    mediator analysis that refutes (or confirms) pullback-ness of the image."""
+def square_witness(square: dict, f_image_leg: str, l_image: dict, cone, count: int) -> dict:
+    """A commuting square (its `kind` inside), which leg is an F-image, its
+    L-image, and the mediator analysis that refutes pullback-ness of the image."""
+    return {"square": square, "f_image_leg": f_image_leg, "l_image": l_image,
+            "analysis": mediator_analysis(cone, count)}
 
-    square: dict  # corner/leg data, serializable
-    f_image_leg: str
-    l_image: dict
-    analysis: Optional[MediatorAnalysis]
 
-    def to_json(self) -> dict:
-        return {
-            "square": self.square,
-            "f_image_leg": self.f_image_leg,
-            "l_image": self.l_image,
-            "analysis": None if self.analysis is None else self.analysis.to_json(),
-        }
+def replay_refuted(reason: str, **stats) -> Verdict:
+    """The verdict of a replay whose witness does not establish its claim."""
+    return Verdict("witness-replay", FAIL, witness={"kind": "replay", "reason": reason},
+                   stats=stats)

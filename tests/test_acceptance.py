@@ -222,7 +222,7 @@ def test_criterion_07_sle_failure_certificate(say):
         v = graphpre.find_sle_failure(max_v=5, max_e=8)
     elapsed = time.monotonic() - t0
     assert v.outcome == FAIL, f"no witness found: {v.summary()}"
-    w = json.loads(json.dumps(v.witness.to_json()))
+    w = json.loads(json.dumps(v.witness))
     replay = checks.reverify(w)
     assert replay.outcome == PASS, f"witness did not replay: {replay.summary()}"
     assert elapsed < 600.0, f"search took {elapsed:.0f}s"
@@ -250,8 +250,7 @@ def test_criterion_09_lcc_sanity(say):
     assert checks.check_lcc(fixtures.get_category("chain-2")).outcome == PASS
     v = checks.check_lcc(fixtures.get_category("m3"))
     assert v.outcome == FAIL and v.witness is not None
-    w = v.witness if isinstance(v.witness, dict) else v.witness.to_json()
-    assert checks.reverify(w).outcome == PASS
+    assert checks.reverify(v.witness).outcome == PASS
     say(f"criterion 9: PASS (PASS on bool-2/chain-2, replayable FAIL on m3)")
 
 

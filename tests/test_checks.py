@@ -1,12 +1,15 @@
 """Adjunction-property checkers and witness replay soundness."""
 
+import ast
 import copy
+import json
+from pathlib import Path
 
 import pytest
 
 from finitopos import checks, fixtures
 from finitopos.errors import NonUnique
-from finitopos.fincat import Reflection
+from finitopos.fincat import FinFunctor, FinNatTrans, Reflection, poset_category
 from finitopos.verdicts import FAIL, INCONCLUSIVE, PASS
 
 
@@ -79,22 +82,17 @@ def test_lcc_non_complete_is_inconclusive():
 
 def test_lcc_witness_replays():
     v = checks.check_lcc(fixtures.get_category("m3"))
-    w = v.witness if isinstance(v.witness, dict) else v.witness.to_json()
-    r = checks.reverify(w)
+    r = checks.reverify(v.witness)
     assert r.passed
 
 
 def test_lcc_witness_corruption_detected():
     v = checks.check_lcc(fixtures.get_category("m3"))
-    w = copy.deepcopy(v.witness if isinstance(v.witness, dict) else v.witness.to_json())
+    w = copy.deepcopy(v.witness)
     w["x"], w["y"] = w["y"], w["x"]
+    # the witness names x = xa <= y = top; swapped, top is not below xa
     r = checks.reverify(w)
-    # either the tampered square fails to refute anything, or it is rejected
-    assert r.outcome == FAIL or r.outcome == PASS  # must not crash
-    if w["x"] != w["y"]:
-        # swapping legs of a symmetric condition may still fail; just require
-        # the replay to be a definite verdict
-        assert r.outcome in (PASS, FAIL)
+    assert r.outcome == FAIL and r.witness["kind"] == "replay"
 
 
 def test_frobenius_per_object():
@@ -109,3 +107,74 @@ def test_reverify_rejects_unknown_kind():
     from finitopos.errors import ShapeMismatch
     with pytest.raises(ShapeMismatch):
         checks.reverify({"kind": "nonsense"})
+
+
+# ---------------------------------------------------------------------------
+# the category-square replayer
+
+
+def _bool2_onto_ends() -> Reflection:
+    """bool-2 reflected onto {bot, top}, with L(xa) = L(xb) = top: L keeps
+    the pullbacks along F-images but not the square bot -> xa, xb -> top."""
+    B = fixtures.bool2()
+    A = poset_category(["bot", "top"], lambda x, y: x == y or x == "bot").validate()
+    L = fixtures._thin_functor(B, A, {"bot": "bot", "xa": "top", "xb": "top", "top": "top"})
+    F = fixtures._thin_functor(A, B, {"bot": "bot", "top": "top"})
+    unit = FinNatTrans(FinFunctor.identity(B), L.then(F),
+                       {o: B.hom(o, F.obj_map[L.obj_map[o]])[0] for o in B.objects})
+    return Reflection(L, F, unit.validate()).validate()
+
+
+def test_category_square_witness_replays():
+    R = _bool2_onto_ends()
+    assert checks.check_semi_left_exact(R).passed
+    v = checks.check_stable_units(R)
+    assert v.outcome == FAIL
+    w = json.loads(json.dumps(v.witness))
+    sq = w["square"]
+    assert sq["kind"] == "category-square"
+    assert (sq["apex"], sq["corners"]) == ("bot", {"X": "xa", "Y": "xb", "Z": "top"})
+    # L sends the square to bot over top twice: (top, id, id) has no mediator
+    top = R.A.identity["top"]
+    assert w["analysis"] == {"cone": {"z": "top", "m1": top, "m2": top},
+                             "count": 0, "mode": "no-mediator"}
+    r = checks.reverify(w)
+    assert r.outcome == PASS and r.stats == {"analysis": w["analysis"]}
+
+
+def test_category_square_replay_rejects_arrows_that_form_no_square():
+    w = copy.deepcopy(checks.check_stable_units(_bool2_onto_ends()).witness)
+    w["square"]["apex"] = "xa"  # the legs still leave bot
+    r = checks.reverify(w)
+    assert r.outcome == FAIL and r.witness["reason"] == "stored square is not a square"
+
+
+# ---------------------------------------------------------------------------
+# every witness kind a checker builds has a replayer, or a reason it has none
+
+NOT_REPLAYED = {
+    "presheaf-square": "the witness does not carry L",
+    "pi-comparison": "the witness does not carry L",
+    "graph-product": "a FAIL would contradict the paper's theorem",
+    "graph-exponential": "a FAIL would contradict the paper's theorem",
+    "validate": "not a claim: the count of inputs that failed validation",
+    "replay": "not a claim: a replay's refutation of its witness",
+}
+
+
+def _built_kinds() -> set:
+    """Every string literal stored under "kind" in a dict literal in the package."""
+    kinds = set()
+    for path in (Path(checks.__file__).parent).glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Dict):
+                kinds.update(v.value for k, v in zip(node.keys, node.values)
+                             if isinstance(k, ast.Constant) and k.value == "kind"
+                             and isinstance(v, ast.Constant))
+    return kinds
+
+
+def test_every_witness_kind_has_a_replayer_or_a_reason():
+    kinds = _built_kinds()
+    assert sorted(kinds - set(checks.REPLAYERS)) == sorted(NOT_REPLAYED)
+    assert sorted(set(checks.REPLAYERS) - kinds) == []

@@ -284,7 +284,7 @@ def test_replay_rejects_witness_built_from_bad_data(tmp_path, capsys, kind):
 
 @pytest.mark.parametrize("witness,field", [
     ({"kind": "graph-pi"}, "'Y'"),
-    ({"kind": "graph-sle-square"}, "'X'"),
+    ({"kind": "graph-sle-square"}, "'square'"),
     ({"square": 3}, "malformed witness"),
 ])
 def test_replay_malformed_witness_names_report_and_field(tmp_path, capsys, witness, field):

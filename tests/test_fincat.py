@@ -14,7 +14,7 @@ from finitopos.fincat import (
     comma_from_object,
     exponential_object,
     find_inverse,
-    mediator_census,
+    first_bad_cone,
     opposite,
     pullback,
     saturate_category,
@@ -145,17 +145,19 @@ def test_pullback_in_bool2():
     assert pb is not None and pb[0] == "bot"
 
 
-def test_mediator_census_distinguishes_modes():
+def test_pullback_square_has_no_bad_cone():
     C = fixtures.get_category("bool-2")
-    # the square over top with apex bot is a pullback: unique mediator from
-    # any cone; census over cones reports count 1 everywhere
+    # the square over top with apex bot is a pullback: a unique mediator
+    # from every commuting test cone
     m1 = next(m for m in C.morphisms if C.dom[m] == "xa" and C.cod[m] == "top")
     m2 = next(m for m in C.morphisms if C.dom[m] == "xb" and C.cod[m] == "top")
     pb = pullback(C, m1, m2)
     apex, p1, p2 = pb
-    census = mediator_census(C, apex, (p1, p2), (m1, m2))
-    # a genuine pullback: exactly one mediator from every commuting cone
-    assert census and all(count == 1 for (_, _, _, count) in census)
+    assert first_bad_cone(C, apex, (p1, p2), (m1, m2)) is None
+    # over id(top) twice the pullback is top; the apex bot has no mediator
+    # from the test cone (top, id, id), the first after (bot, bot->top, bot->top)
+    top, up = C.identity["top"], C.hom("bot", "top")[0]
+    assert first_bad_cone(C, "bot", (up, up), (top, top)) == ("top", top, top, 0)
 
 
 def test_exponential_object_in_bool2():

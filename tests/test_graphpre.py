@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from finitopos import checks, graphpre
 from finitopos.errors import FinitoposError, InvalidStructure
+from finitopos.finset import canon_key
 from finitopos.presheaf import nat_transformations, product_presheaf, pullback_presheaf
 from finitopos.graphpre import (
     Preorder,
@@ -37,7 +38,6 @@ from finitopos.graphpre import (
     product_reflection_agrees,
     reflect,
     reflect_map,
-    reverify_graph_witness,
     transitive_closure,
     vertex_maps_to_embedded,
 )
@@ -272,8 +272,8 @@ def test_is_embedded_preorder_detects_defects():
 
 
 def test_is_embedded_preorder_names_the_edge_a_scan_of_all_pairs_finds():
-    """The missing edge named is the first one a scan of all pairs of the
-    relation finds, in the relation's own iteration order."""
+    """The missing edge named is the least, in canonical order, of those a
+    scan of all pairs of the relation finds."""
     failures = 0
     for G in enumerate_graphs(4, 3):
         X = G.presheaf()
@@ -281,9 +281,9 @@ def test_is_embedded_preorder_names_the_edge_a_scan_of_all_pairs_finds():
         if len(set(pairs)) != len(pairs):
             continue
         rel = set(pairs) | {(v, v) for v in X.at["V"]}
-        expected = next((f"missing transitive edge {a!r} -> {c!r}"
-                         for (a, b) in rel for (b2, c) in rel
-                         if b2 == b and (a, c) not in rel), "")
+        missing = sorted(((a, c) for (a, b) in rel for (b2, c) in rel
+                          if b2 == b and (a, c) not in rel), key=canon_key)
+        expected = "missing transitive edge %r -> %r" % missing[0] if missing else ""
         assert is_embedded_preorder(X) == (not expected, expected)
         failures += bool(expected)
     assert failures > 10
@@ -345,7 +345,7 @@ def sle_verdict():
 
 def test_sle_failure_found(sle_verdict):
     assert sle_verdict.outcome == FAIL
-    w = sle_verdict.witness.to_json()
+    w = sle_verdict.witness
     assert w["square"]["kind"] == "graph-sle-square"
     # no mediator exists from the true preorder pullback
     assert w["analysis"]["count"] == 0
@@ -426,7 +426,7 @@ def test_sle_search_raises_when_the_oracle_rejects_a_relational_hit(monkeypatch)
 def test_sle_search_at_default_bounds_finds_the_minimal_square(sle_verdict):
     v = find_sle_failure()
     assert (v.outcome, v.stats, v.bounds) == (FAIL, {"squares": 47016}, {"max_v": 4, "max_e": 8})
-    assert v.witness.to_json()["square"] == sle_verdict.witness.to_json()["square"]
+    assert v.witness["square"] == sle_verdict.witness["square"]
 
 
 @pytest.mark.parametrize("max_v, max_e, squares", [(2, 2, 1518), (2, 4, 5321)])
@@ -442,6 +442,28 @@ def test_sle_search_budget_exhaustion_is_inconclusive():
     assert v.bounds["budget"] == 5000
 
 
+def test_pi_witness_does_not_depend_on_the_hash_seed():
+    """is_embedded_preorder names the least missing edge, so the witness's
+    violation text is the same whatever order the relation's set iterates in."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(graphpre.__file__).resolve().parent.parent)
+    code = ("import json; from finitopos import graphpre; "
+            "print(json.dumps(graphpre.find_pi_witness(max_n=2).witness, sort_keys=True))")
+    outs = []
+    for seed in ("0", "4"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        outs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                   capture_output=True, text=True).stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["violation"].startswith("missing transitive edge")
+
+
 def test_pi_search_budget_exhaustion_is_inconclusive():
     # the 41st instance's own charge is the one that runs out
     v = graphpre.find_pi_witness(max_n=2, budget=40)
@@ -452,22 +474,48 @@ def test_pi_search_budget_exhaustion_is_inconclusive():
 
 def test_sle_witness_replays_from_serialization_alone(sle_verdict):
     import json
-    w = json.loads(json.dumps(sle_verdict.witness.to_json()))
+    w = json.loads(json.dumps(sle_verdict.witness))
     r = checks.reverify(w)
     assert r.outcome == PASS, r.summary()
 
 
 def test_sle_witness_corruption_detected(sle_verdict):
     import copy
-    w = copy.deepcopy(sle_verdict.witness.to_json())
+    w = copy.deepcopy(sle_verdict.witness)
     # claim a wrong missing-relation set
     w["l_image"]["missing_relations"] = w["l_image"]["missing_relations"][:0]
     sq = w["square"]
     # also break the underlying square: make X edgeless so it reflects fine
     sq["X"]["edges"] = []
     sq["f"] = {k: v for k, v in sq["f"].items()}
-    r = reverify_graph_witness(w)
+    r = checks.reverify(w)
     assert r.outcome == FAIL
+
+
+def test_sle_replay_rejects_an_emptied_missing_relation_claim(sle_verdict):
+    import copy
+    w = copy.deepcopy(sle_verdict.witness)
+    w["l_image"]["missing_relations"] = []
+    r = checks.reverify(w)
+    assert r.outcome == FAIL
+    assert r.witness["reason"] == "missing-relation set differs from the claim"
+
+
+def test_sle_replay_rejects_a_witness_without_its_missing_relations(sle_verdict):
+    import copy
+    w = copy.deepcopy(sle_verdict.witness)
+    del w["l_image"]["missing_relations"]
+    with pytest.raises(KeyError, match="missing_relations"):
+        checks.reverify(w)
+
+
+def test_sle_replay_rejects_a_wrong_mediator_count(sle_verdict):
+    import copy
+    w = copy.deepcopy(sle_verdict.witness)
+    w["analysis"]["count"] = 1
+    r = checks.reverify(w)
+    assert r.outcome == FAIL
+    assert r.witness["reason"] == "mediator count differs from the claim"
 
 
 def test_no_sle_failure_among_trivial_squares():
