@@ -8,8 +8,9 @@ level or, in a square witness (`verdicts.square_witness`), under `square`.
 `reverify` replays a witness from its own data alone, through `REPLAYERS`,
 the one table from kind to replayer.  A replayer reruns the test the search
 ran (`_square_failure`, `_lcc_candidates`, graphpre's `_sle_instance_fails`,
-`_pi_violation` and `_sieve_factors`) and trusts no stored verdict; the
-kinds that have no replayer are listed, with the reason, at `REPLAYERS`.
+`product_reflection_agrees`, `_exponential_violation`, `_pi_violation` and
+`_sieve_factors`) and trusts no stored verdict; the kinds that have no
+replayer are listed, with the reason, at `REPLAYERS`.
 """
 
 from __future__ import annotations
@@ -475,12 +476,13 @@ def _replay_lcc(w: dict) -> Verdict:
 
 
 # kind -> replayer.  Kinds without one: presheaf-square and pi-comparison
-# (the witness does not carry L), graph-product and graph-exponential (a
-# FAIL would contradict the paper's theorem), validate and replay (no claim).
+# (the witness does not carry L), validate and replay (no claim).
 REPLAYERS = {
     "category-square": _replay_category_square,
     "lcc": _replay_lcc,
     "graph-sle-square": graphpre.replay_sle_square,
+    "graph-product": graphpre.replay_product,
+    "graph-exponential": graphpre.replay_exponential,
     "graph-pi": graphpre.replay_pi,
     "graph-sieve": graphpre.replay_sieve,
 }

@@ -10,8 +10,13 @@ per related pair, the distinguished loops being the reflexivity edges.
 The reflection L reads only a graph's vertices and its edge relation.  So
 the SLE search tests each square, and the product sweep each pair, on
 (vertices, edge pairs) built by one relational pullback (`_pullback_relation`),
-with no presheaf.  The generic presheaf pullback stays the oracle: it
-re-tests each square the search reports as a FAIL, and replay uses it.
+with no presheaf.  The exponential sweep and the Pi search test each
+instance the same way: (F P)^G and Pi_f g have at most one edge per pair of
+vertices, so each is an embedded preorder iff its edge relation, built from
+the preorders alone (`_exponential_relation`, `_pi_relation`), is
+transitive.  The generic presheaf constructions stay the oracle: they
+re-test each instance a search reports as a FAIL, the witness is built
+from their data, and replay uses them.
 """
 
 from __future__ import annotations
@@ -327,6 +332,16 @@ def _edge_respecting_maps(verts, pairs, targets, related) -> list:
     return out
 
 
+def _is_transitive(n: int, pairs) -> bool:
+    """Is the relation `pairs` on 0..n-1 transitive?  Each index's successors
+    form a bitset; the relation is transitive iff no pair's target has a
+    successor its source lacks."""
+    succ = [0] * n
+    for i, j in pairs:
+        succ[i] |= 1 << j
+    return all(not succ[j] & ~succ[i] for i, j in pairs)
+
+
 def _graph_map(G: Presheaf, FQ: Presheaf, w: dict) -> PresheafMap:
     """The graph map G -> FQ = embed(Q) of an edge-respecting vertex map w."""
     d0, d1 = G.act["d0"].table, G.act["d1"].table
@@ -445,37 +460,65 @@ def check_product_preservation(max_v: int = 3, max_e: int = 4,
                    stats={"pairs": tested, "graphs": len(graphs)})
 
 
+def _exponential_relation(verts, pairs, P: Preorder):
+    """(vertices, edge pairs) of (F P)^G, from G's `verts` and edge `pairs`,
+    its distinguished loops among them.  A vertex is a graph map G -> F P,
+    i.e. an edge-respecting vertex map (a dict); an edge is a map from the
+    walking edge times G, i.e. a pair (g0, g1) of them with g0(a) <= g1(b)
+    for every edge (a, b) of G, given as the index pair of g0 and g1.  F P
+    has one edge per related pair, so each edge is determined by its ends."""
+    maps = _edge_respecting_maps(verts, pairs, P.carrier, P.rel)
+    arrows, rel = list(dict.fromkeys(pairs)), P.rel
+    return maps, [(i, j) for i, g0 in enumerate(maps) for j, g1 in enumerate(maps)
+                  if all((g0[a], g1[b]) in rel for a, b in arrows)]
+
+
+def _exponential_violation(PG: Presheaf, FP: Presheaf, budget: Budget | None) -> str | None:
+    """Why FP^PG, built by Nat enumeration, is not an embedded preorder, or
+    None if it is one."""
+    ok, why = is_embedded_preorder(exponential_presheaf(PG, FP, budget))
+    return None if ok else why
+
+
 def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 4,
                                    budget: Budget | int | None = None) -> Verdict:
     """(embed P)^G is an embedded preorder for all preorders P and graphs G
-    within bounds.  Each graph's presheaf is built once for the sweep."""
+    within bounds.  Each instance is tested on relations: it passes iff the
+    edge relation of `_exponential_relation` is transitive.  A FAIL is
+    re-tested through `exponential_presheaf` and `is_embedded_preorder`
+    (`_exponential_violation`, which replay runs too), whose violation the
+    witness names; if the two disagree the sweep raises.  Each instance
+    charges the budget once, so a budget bounds the whole sweep; the
+    confirmation gets a budget of the same size.  Each graph's vertices and
+    edge pairs are built once for the sweep."""
     b_ = ensure_budget(budget, "check_exponential_ideal_graphs")
     tested = 0
     bounds = {"max_p": max_p, "max_v": max_v, "max_e": max_e}
-    graphs = [(G, G.presheaf()) for G in enumerate_graphs(max_v, max_e)]
-    for P in enumerate_preorders(max_p):
-        FP = embed(P)
-        for G, PG in graphs:
-            tested += 1
-            try:
-                # each instance gets a fresh budget; the cap is per-exponential
-                E = exponential_presheaf(PG, FP, b_.sub("exponential"))
-            except BudgetExceeded:
-                return Verdict("graph-exponential-ideal", INCONCLUSIVE,
-                               bounds=dict(bounds, budget=b_.limit),
-                               stats={"tested": tested},
-                               detail=f"budget exhausted on P={P.carrier}, G={G}")
-            ok, why = is_embedded_preorder(E)
-            if not ok:
+    graphs = [(G, list(PG.at["V"]), _edge_pairs(PG))
+              for G in enumerate_graphs(max_v, max_e) for PG in [G.presheaf()]]
+    try:
+        for P in enumerate_preorders(max_p):
+            for G, verts, pairs in graphs:
+                b_.charge()
+                tested += 1
+                maps, edges = _exponential_relation(verts, pairs, P)
+                if _is_transitive(len(maps), edges):
+                    continue
+                why = _exponential_violation(G.presheaf(), embed(P), b_.sub("exponential"))
+                if why is None:
+                    raise FinitoposError(f"relational and presheaf exponentials disagree on "
+                                         f"P={P.carrier}, G={G}")
                 return Verdict("graph-exponential-ideal", FAIL,
                                witness={"kind": "graph-exponential",
                                         "P": P.to_json(), "G": G.to_json(),
                                         "violation": why},
-                               bounds={"max_p": max_p, "max_v": max_v, "max_e": max_e},
-                               stats={"tested": tested})
-    return Verdict("graph-exponential-ideal", PASS,
-                   bounds={"max_p": max_p, "max_v": max_v, "max_e": max_e},
-                   stats={"tested": tested})
+                               bounds=bounds, stats={"tested": tested})
+    except BudgetExceeded:
+        return Verdict("graph-exponential-ideal", INCONCLUSIVE,
+                       bounds=dict(bounds, budget=b_.limit),
+                       stats={"tested": tested},
+                       detail=f"budget exhausted on P={P.carrier}, G={G}")
+    return Verdict("graph-exponential-ideal", PASS, bounds=bounds, stats={"tested": tested})
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +688,29 @@ def replay_sle_square(w: dict) -> Verdict:
                    stats={"missing": [[repr(a), repr(b)] for a, b in bad["missing"]]})
 
 
+def replay_product(w: dict) -> Verdict:
+    """Replay a graph-product witness: L(G x H) must differ from LG x LH by
+    exactly the claimed relations."""
+    G, H = RefGraph.from_json(w["G"]), RefGraph.from_json(w["H"])
+    ok, info = product_reflection_agrees(G, H)
+    if ok:
+        return replay_refuted("L(G x H) equals LG x LH after all")
+    if [w["only_left"], w["only_right"]] != [info["only_left"], info["only_right"]]:
+        return replay_refuted("only_left or only_right differs from the claim")
+    return Verdict("witness-replay", PASS, stats=info)
+
+
+def replay_exponential(w: dict) -> Verdict:
+    """Replay a graph-exponential witness: (F P)^G, built by Nat enumeration,
+    must not be an embedded preorder."""
+    P = Preorder.from_json(w["P"])
+    G = RefGraph.from_json(w["G"])
+    why = _exponential_violation(G.presheaf(), embed(P), None)
+    if why is None:
+        return replay_refuted("exponential is an embedded preorder after all")
+    return Verdict("witness-replay", PASS, stats={"violation": why})
+
+
 def replay_pi(w: dict) -> Verdict:
     """Replay a graph-pi witness: its dependent product must not be an
     embedded preorder."""
@@ -685,46 +751,85 @@ def _pi_violation(ff: PresheafMap, fg: PresheafMap, budget: Budget | None) -> st
     return None if ok else why
 
 
+def _pi_instances(max_n: int):
+    """Every (Y, X, f, Z, g) with monotone f: X -> Y and g: Z -> X among the
+    preorders of size up to max_n, in the order find_pi_witness tests them."""
+    pre = list(enumerate_preorders(max_n))
+    for Y in pre:
+        for X in pre:
+            for f in monotone_maps(X, Y):
+                for Z in pre:
+                    for g in monotone_maps(Z, X):
+                        yield Y, X, f, Z, g
+
+
+def _pi_relation(Y: Preorder, X: Preorder, Z: Preorder, f: dict, g: dict):
+    """(vertices, edge pairs) of Pi_f g for monotone f: X -> Y, g: Z -> X.
+    A vertex over y is (y, s): s lists a section of g over the fiber
+    f^-1(y), in the fiber's order, and is monotone on the fiber.  An edge
+    pair (i, j) joins (y1, s1) to (y2, s2) iff y1 <= y2 and
+    s1(a) <= s2(b) for every a <= b with a over y1 and b over y2.  F Z has
+    one edge per related pair, so each edge is determined by its ends."""
+    above: dict = {}
+    for z in Z.carrier:
+        above.setdefault(g[z], []).append(z)
+    fibers = {y: [x for x in X.carrier if f[x] == y] for y in Y.carrier}
+    # index pairs (p, q) with fibers[y1][p] <= fibers[y2][q] in X
+    across = {(y1, y2): [(p, q) for p, a in enumerate(fibers[y1])
+                         for q, b in enumerate(fibers[y2]) if (a, b) in X.rel]
+              for (y1, y2) in Y.rel}
+    zrel = Z.rel
+    verts = [(y, s) for y, fb in fibers.items()
+             for s in itertools.product(*[above.get(x, ()) for x in fb])
+             if all((s[p], s[q]) in zrel for p, q in across[y, y])]
+    return verts, [(i, j) for i, (y1, s1) in enumerate(verts)
+                   for j, (y2, s2) in enumerate(verts)
+                   if (y1, y2) in across
+                   and all((s1[p], s2[q]) in zrel for p, q in across[y1, y2])]
+
+
 def find_pi_witness(max_n: int = 3, budget: Budget | int | None = None) -> Verdict:
     """Look for monotone f: X -> Y, g: Z -> X whose dependent product taken in
     reflexive graphs is not an embedded preorder.  Evidence only; the decisive
-    certificate is find_sle_failure.  Each preorder is embedded once per
-    search."""
+    certificate is find_sle_failure.  Each instance is tested on relations:
+    it passes iff the edge relation of `_pi_relation` is transitive.  A FAIL
+    is re-tested through `dependent_product` and `is_embedded_preorder`
+    (`_pi_violation`, which replay runs too), whose violation the witness
+    names; if the two disagree the search raises.  Each instance charges
+    the budget once; the confirmation gets a budget of the same size."""
     b_ = ensure_budget(budget, "find_pi_witness")
     tested = 0
-    pre = [(P, embed(P)) for P in enumerate_preorders(max_n)]
-    for Y, FY in pre:
-        for X, FX in pre:
-            for f in monotone_maps(X, Y):
-                ff = embedded_map(f, FX, FY)
-                for Z, FZ in pre:
-                    for g in monotone_maps(Z, X):
-                        try:
-                            b_.charge()
-                            tested += 1
-                            why = _pi_violation(ff, embedded_map(g, FZ, FX),
-                                                b_.sub("dependent_product"))
-                        except BudgetExceeded:
-                            return Verdict("pi-witness-search", INCONCLUSIVE,
-                                           bounds={"max_n": max_n, "budget": b_.limit},
-                                           stats={"tested": tested},
-                                           detail="budget exhausted mid-search")
-                        if why is not None:
-                            from .report import elem_to_json
-                            return Verdict(
-                                "pi-witness-search", FAIL,
-                                witness={
-                                    "kind": "graph-pi",
-                                    "Y": Y.to_json(), "X": X.to_json(), "Z": Z.to_json(),
-                                    "f": [[elem_to_json(a), elem_to_json(bv)]
-                                          for a, bv in sorted(f.items())],
-                                    "g": [[elem_to_json(a), elem_to_json(bv)]
-                                          for a, bv in sorted(g.items())],
-                                    "violation": why,
-                                },
-                                bounds={"max_n": max_n},
-                                stats={"tested": tested},
-                                detail="EVIDENCE: dependent products not inherited")
+    try:
+        for Y, X, f, Z, g in _pi_instances(max_n):
+            b_.charge()
+            tested += 1
+            verts, edges = _pi_relation(Y, X, Z, f, g)
+            if _is_transitive(len(verts), edges):
+                continue
+            why = _pi_violation(embed_map(f, X, Y), embed_map(g, Z, X),
+                                b_.sub("dependent_product"))
+            if why is None:
+                raise FinitoposError(f"relational and presheaf dependent products disagree "
+                                     f"on Y={Y.carrier}, X={X.carrier}, Z={Z.carrier}, "
+                                     f"f={f}, g={g}")
+            from .report import elem_to_json
+            return Verdict(
+                "pi-witness-search", FAIL,
+                witness={
+                    "kind": "graph-pi",
+                    "Y": Y.to_json(), "X": X.to_json(), "Z": Z.to_json(),
+                    "f": [[elem_to_json(a), elem_to_json(bv)] for a, bv in sorted(f.items())],
+                    "g": [[elem_to_json(a), elem_to_json(bv)] for a, bv in sorted(g.items())],
+                    "violation": why,
+                },
+                bounds={"max_n": max_n},
+                stats={"tested": tested},
+                detail="EVIDENCE: dependent products not inherited")
+    except BudgetExceeded:
+        return Verdict("pi-witness-search", INCONCLUSIVE,
+                       bounds={"max_n": max_n, "budget": b_.limit},
+                       stats={"tested": tested},
+                       detail="budget exhausted mid-search")
     return Verdict("pi-witness-search", NOT_FOUND,
                    bounds={"max_n": max_n}, stats={"tested": tested})
 

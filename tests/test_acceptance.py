@@ -208,10 +208,11 @@ def test_criterion_05_graph_product_preservation(say):
 
 def test_criterion_06_graph_exponential_ideal(say):
     # exhaustive over preorders with <= 3 elements and graphs with <= 3
-    # vertices; the extra-edge bound is fixed at 2 to keep the sweep exact
-    # yet tractable (the instance count is infinite without an edge bound)
-    v = graphpre.check_exponential_ideal_graphs(max_p=3, max_v=3, max_e=2)
+    # vertices and <= 4 extra edges (the instance count is infinite without
+    # an edge bound)
+    v = graphpre.check_exponential_ideal_graphs(max_p=3, max_v=3, max_e=4)
     assert v.outcome == PASS, v.summary()
+    assert v.stats == {"tested": 2492}
     say(f"criterion 6: PASS ({v.stats['tested']} exponentials, all embedded preorders)")
 
 

@@ -155,8 +155,6 @@ def test_category_square_replay_rejects_arrows_that_form_no_square():
 NOT_REPLAYED = {
     "presheaf-square": "the witness does not carry L",
     "pi-comparison": "the witness does not carry L",
-    "graph-product": "a FAIL would contradict the paper's theorem",
-    "graph-exponential": "a FAIL would contradict the paper's theorem",
     "validate": "not a claim: the count of inputs that failed validation",
     "replay": "not a claim: a replay's refutation of its witness",
 }

@@ -286,6 +286,8 @@ def test_replay_rejects_witness_built_from_bad_data(tmp_path, capsys, kind):
     ({"kind": "graph-pi"}, "'Y'"),
     ({"kind": "graph-sle-square"}, "'square'"),
     ({"square": 3}, "malformed witness"),
+    ({"kind": "graph-exponential"}, "'P'"),
+    ({"kind": "graph-product", "G": {"n": 1, "edges": []}}, "'H'"),
 ])
 def test_replay_malformed_witness_names_report_and_field(tmp_path, capsys, witness, field):
     p = _report_file(tmp_path, "malformed.json", witness)

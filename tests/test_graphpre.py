@@ -11,13 +11,23 @@ from hypothesis import strategies as st
 from finitopos import checks, graphpre
 from finitopos.errors import FinitoposError, InvalidStructure
 from finitopos.finset import canon_key
-from finitopos.presheaf import nat_transformations, product_presheaf, pullback_presheaf
+from finitopos.presheaf import (
+    dependent_product,
+    exponential_presheaf,
+    nat_transformations,
+    product_presheaf,
+    pullback_presheaf,
+)
 from finitopos.graphpre import (
     Preorder,
     RefGraph,
     _edge_pairs,
+    _exponential_relation,
     _graph_and_reflection,
     _index_by_image,
+    _is_transitive,
+    _pi_instances,
+    _pi_relation,
     _product_relation,
     _pullback_relation,
     _sle_instance_fails,
@@ -260,6 +270,110 @@ def test_exponential_ideal_sweep_small():
     assert v.outcome == PASS, v.summary()
 
 
+def _vertex_map(family) -> tuple:
+    """The vertex map G -> P of an element of (F P)^G at V: its family's
+    component at V, read at id(V) on each vertex."""
+    return tuple(sorted((x, p) for (_, x), p in dict(family)["V"]))
+
+
+def test_exponential_relation_matches_presheaf_exponential():
+    """On every instance of the (3, 3, 2) sweep, the relational (F P)^G has
+    the vertex maps and the edge pairs of exponential_presheaf's, read as
+    vertex maps, and the same verdict as is_embedded_preorder."""
+    tested = failures = 0
+    graphs = [(G, G.presheaf()) for G in enumerate_graphs(3, 2)]
+    for P in enumerate_preorders(3):
+        FP = embed(P)
+        for G, PG in graphs:
+            tested += 1
+            maps, edges = _exponential_relation(list(PG.at["V"]), _edge_pairs(PG), P)
+            E = exponential_presheaf(PG, FP)
+            assert (len(maps), len(edges)) == (len(E.at["V"]), len(E.at["E"])), (P, G)
+            keys = [tuple(sorted(w.items())) for w in maps]
+            assert keys == sorted(_vertex_map(e) for e in E.at["V"]), (P, G)
+            assert sorted((keys[i], keys[j]) for i, j in edges) == \
+                sorted((_vertex_map(a), _vertex_map(b)) for a, b in _edge_pairs(E)), (P, G)
+            ok = _is_transitive(len(maps), edges)
+            assert ok == is_embedded_preorder(E)[0], (P, G)
+            failures += not ok
+    assert (tested, failures) == (364, 0)
+
+
+def test_is_transitive_matches_a_scan_of_all_pairs():
+    for n in range(4):
+        full = [(i, j) for i in range(n) for j in range(n)]
+        for bits in range(1 << len(full)):
+            pairs = [p for k, p in enumerate(full) if bits >> k & 1]
+            rel = set(pairs)
+            scan = all((a, c) in rel for a, b in rel for b2, c in rel if b2 == b)
+            assert _is_transitive(n, pairs) == scan, pairs
+
+
+def test_exponential_sweep_raises_when_the_oracle_rejects_a_relational_fail(monkeypatch):
+    """A relational test that fails every instance is not confirmed by the
+    presheaf exponential, so the sweep raises rather than return FAIL."""
+    monkeypatch.setattr(graphpre, "_is_transitive", lambda n, pairs: False)
+    with pytest.raises(FinitoposError, match="disagree"):
+        check_exponential_ideal_graphs(max_p=1, max_v=1, max_e=0)
+
+
+def test_exponential_sweep_fail_replays(monkeypatch):
+    """With both paths forced to fail, the sweep's FAIL names the first
+    instance and the presheaf path's violation, and its witness replays."""
+    monkeypatch.setattr(graphpre, "_is_transitive", lambda n, pairs: False)
+    monkeypatch.setattr(graphpre, "is_embedded_preorder", lambda X: (False, "forced"))
+    v = check_exponential_ideal_graphs(max_p=1, max_v=1, max_e=0)
+    assert (v.outcome, v.stats) == (FAIL, {"tested": 1})
+    assert v.witness == {"kind": "graph-exponential", "P": Preorder.of([], ()).to_json(),
+                         "G": RefGraph.of(0, []).to_json(), "violation": "forced"}
+    r = checks.reverify(v.witness)
+    assert (r.outcome, r.stats) == (PASS, {"violation": "forced"})
+
+
+@pytest.mark.parametrize("budget, outcome", [(130, PASS), (129, INCONCLUSIVE)])
+def test_exponential_sweep_charges_the_budget_once_per_instance(budget, outcome):
+    v = check_exponential_ideal_graphs(max_p=2, max_v=3, max_e=2, budget=budget)
+    assert (v.outcome, v.stats) == (outcome, {"tested": budget})
+
+
+def test_forged_exponential_witness_is_refuted():
+    P = Preorder.of(["v0", "v1"], {("v0", "v1")})
+    w = {"kind": "graph-exponential", "P": P.to_json(),
+         "G": RefGraph.of(3, [(0, 1), (1, 2)]).to_json(), "violation": "forged"}
+    r = checks.reverify(w)
+    assert r.outcome == FAIL
+    assert r.witness["reason"] == "exponential is an embedded preorder after all"
+
+
+def test_forged_product_witness_is_refuted():
+    w = {"kind": "graph-product", "G": RefGraph.of(2, [(0, 1)]).to_json(),
+         "H": RefGraph.of(2, [(1, 0)]).to_json(), "only_left": ["x"], "only_right": []}
+    r = checks.reverify(w)
+    assert r.outcome == FAIL
+    assert r.witness["reason"] == "L(G x H) equals LG x LH after all"
+
+
+def test_product_witness_replays_and_its_claim_is_compared(monkeypatch):
+    """Under a reflection that forgets every edge, the sweep fails on the
+    first pair with an edge; its witness replays, and one whose claimed
+    relations were altered is refuted."""
+    import json
+
+    def discrete(G):
+        PG = G.presheaf()
+        return PG, Preorder(list(PG.at["V"]), ())
+    monkeypatch.setattr(graphpre, "_graph_and_reflection", discrete)
+    v = check_product_preservation(max_v=2, max_e=1)
+    assert v.outcome == FAIL and v.witness["only_left"] and not v.witness["only_right"]
+    w = json.loads(json.dumps(v.witness))
+    r = checks.reverify(w)
+    assert (r.outcome, r.stats) == (PASS, {"only_left": w["only_left"], "only_right": []})
+    w["only_left"] = w["only_left"][1:]
+    r = checks.reverify(w)
+    assert r.outcome == FAIL
+    assert r.witness["reason"] == "only_left or only_right differs from the claim"
+
+
 def test_is_embedded_preorder_detects_defects():
     ok, _ = is_embedded_preorder(embed(next(iter(preorders_of_size(2)))))
     assert ok
@@ -462,6 +576,49 @@ def test_pi_witness_does_not_depend_on_the_hash_seed():
                                    capture_output=True, text=True).stdout)
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["violation"].startswith("missing transitive edge")
+
+
+def test_pi_relation_matches_presheaf_dependent_product():
+    """On all instances at max_n=2 and the first 2 000 at max_n=3, in search
+    order, the relational Pi_f g has dependent_product's vertex and edge
+    counts and is_embedded_preorder's verdict."""
+    for max_n, limit, count, failures in [(2, None, 438, 4), (3, 2000, 2000, 0)]:
+        tested = failed = 0
+        for Y, X, f, Z, g in itertools.islice(_pi_instances(max_n), limit):
+            tested += 1
+            verts, edges = _pi_relation(Y, X, Z, f, g)
+            W = dependent_product(embed_map(f, X, Y), embed_map(g, Z, X)).source
+            assert (len(verts), len(edges)) == (len(W.at["V"]), len(W.at["E"])), (Y, X, Z, f, g)
+            ok = _is_transitive(len(verts), edges)
+            assert ok == is_embedded_preorder(W)[0], (Y, X, Z, f, g)
+            failed += not ok
+        assert (tested, failed) == (count, failures)
+
+
+def test_pi_along_an_identity_is_the_graph_of_z():
+    """Pi along id_X of g: Z -> X is Z itself: one vertex per z, over g z,
+    and an edge z1 -> z2 iff z1 <= z2."""
+    X = Preorder.of(["v0", "v1"], {("v0", "v1")})
+    Z = Preorder.of(["v0", "v1", "v2"], {("v0", "v2")})
+    g = {"v0": "v0", "v1": "v0", "v2": "v1"}
+    verts, edges = _pi_relation(X, X, Z, {"v0": "v0", "v1": "v1"}, g)
+    zs = [s[0] for _, s in verts]
+    assert sorted(zs) == list(Z.carrier)
+    assert sorted((zs[i], zs[j]) for i, j in edges) == sorted(Z.rel)
+
+
+def test_pi_search_raises_when_the_oracle_rejects_a_relational_fail(monkeypatch):
+    monkeypatch.setattr(graphpre, "_is_transitive", lambda n, pairs: False)
+    with pytest.raises(FinitoposError, match="disagree"):
+        graphpre.find_pi_witness(max_n=1)
+
+
+def test_pi_search_at_max_n_3_fails_at_instance_10961():
+    v = graphpre.find_pi_witness(max_n=3)
+    assert (v.outcome, v.stats, v.bounds) == (FAIL, {"tested": 10961}, {"max_n": 3})
+    r = checks.reverify(v.witness)
+    assert r.outcome == PASS, r.summary()
+    assert r.stats == {"violation": v.witness["violation"]}
 
 
 def test_pi_search_budget_exhaustion_is_inconclusive():
