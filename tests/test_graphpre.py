@@ -26,12 +26,16 @@ from finitopos.graphpre import (
     _graph_and_reflection,
     _index_by_image,
     _is_transitive,
+    _labelled_product_difference,
     _pi_instances,
     _pi_relation,
     _product_relation,
+    _product_rows_agree,
     _pullback_relation,
     _sle_instance_fails,
     _sle_relation_fails,
+    _successor_rows,
+    _transitive_rows,
     check_exponential_ideal_graphs,
     check_product_preservation,
     embed,
@@ -206,9 +210,9 @@ def test_product_relation_matches_presheaf_product_on_enumerated_pairs():
 
 
 @st.composite
-def _ref_graphs(draw):
-    """Graphs on up to 4 vertices whose extra edges may repeat and loop."""
-    n = draw(st.integers(0, 4))
+def _ref_graphs(draw, max_n=4):
+    """Graphs on up to max_n vertices whose extra edges may repeat and loop."""
+    n = draw(st.integers(0, max_n))
     if n == 0:
         return RefGraph.of(0, [])
     v = st.integers(0, n - 1)
@@ -248,6 +252,12 @@ def test_product_sweep_fail_names_the_pair_and_its_bounds(monkeypatch, fail_at, 
                          "only_left": ["x"], "only_right": []}
 
 
+def _rows_relation(rows) -> set:
+    """Successor bitsets over vertex indices, read back as pairs of v{i}."""
+    return {(f"v{i}", f"v{j}") for i, r in enumerate(rows) for j in range(len(rows))
+            if r >> j & 1}
+
+
 def test_product_sweep_same_with_cold_and_warm_cache():
     _graph_and_reflection.cache_clear()
     cold = check_product_preservation(max_v=2, max_e=3, random_pairs=20)
@@ -255,14 +265,60 @@ def test_product_sweep_same_with_cold_and_warm_cache():
     warm = check_product_preservation(max_v=2, max_e=3, random_pairs=20)
     assert (warm.outcome, warm.stats, warm.bounds, warm.witness) == \
         (cold.outcome, cold.stats, cold.bounds, cold.witness)
-    # the warm sweep rebuilds no graph's presheaf or reflection
+    # the warm sweep rebuilds no graph's index pairs or LG rows
     assert _graph_and_reflection.cache_info().misses == misses
     # the shared cached values still equal freshly computed ones
     for G in enumerate_graphs(2, 3):
-        PG, LG = _graph_and_reflection(G)
-        fresh = G.presheaf()
-        assert PG == fresh
-        assert LG == preorder_reflection(fresh)[0]
+        n, pairs, rows = _graph_and_reflection(G)
+        assert (n, pairs, rows) == _graph_and_reflection.__wrapped__(G)
+        assert _rows_relation(rows) == preorder_reflection(G.presheaf())[0].rel
+
+
+def test_cached_reflection_rows_match_reflect():
+    """Each graph's LG rows, read back as pairs of v{i}, are the relation of
+    reflect on its presheaf; its index pairs are its distinguished loops
+    and its extra edges, each once."""
+    for G in enumerate_graphs(3, 4):
+        n, pairs, rows = _graph_and_reflection(G)
+        assert n == G.n and len(rows) == n, G
+        assert sorted(pairs) == sorted({(i, i) for i in range(n)} | set(G.edges)), G
+        assert _rows_relation(rows) == reflect(G.presheaf()).rel, G
+
+
+def _assert_bitset_verdict_is_labelled_verdict(G, H, PG, PH):
+    labelled = _labelled_product_difference(PG, PH)
+    assert _product_rows_agree(G, H) == (not labelled), (G, H)
+
+
+def test_product_bitset_verdict_matches_labelled_on_enumerated_pairs():
+    graphs = [(G, G.presheaf()) for G in enumerate_graphs(3, 3)]
+    pairs = 0
+    for i, (G, PG) in enumerate(graphs):
+        for H, PH in graphs[i:]:
+            pairs += 1
+            _assert_bitset_verdict_is_labelled_verdict(G, H, PG, PH)
+    assert pairs == 2346
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ref_graphs(5), _ref_graphs(5))
+@example(RefGraph.of(3, [(0, 1), (1, 2)]), RefGraph.of(2, [(0, 1)]))
+@example(RefGraph.of(2, [(0, 1), (0, 1), (1, 1)]),
+         RefGraph.of(3, [(0, 2), (1, 1), (1, 1), (2, 0)]))
+def test_product_bitset_verdict_matches_labelled(G, H):
+    _assert_bitset_verdict_is_labelled_verdict(G, H, G.presheaf(), H.presheaf())
+
+
+def test_product_sweep_raises_when_the_labelled_path_rejects_a_bitset_fail(monkeypatch):
+    """LG rows that lose every relation make the bitsets disagree on a pair
+    that in truth agrees; the labelled path finds no difference, so the
+    sweep raises rather than return FAIL."""
+    def empty_rows(G):
+        n, pairs, _ = _graph_and_reflection(G)
+        return n, pairs, (0,) * n
+    monkeypatch.setattr(graphpre, "_graph_and_reflection", empty_rows)
+    with pytest.raises(FinitoposError, match="disagree"):
+        check_product_preservation(max_v=1, max_e=0)
 
 
 def test_exponential_ideal_sweep_small():
@@ -354,17 +410,26 @@ def test_forged_product_witness_is_refuted():
 
 
 def test_product_witness_replays_and_its_claim_is_compared(monkeypatch):
-    """Under a reflection that forgets every edge, the sweep fails on the
-    first pair with an edge; its witness replays, and one whose claimed
-    relations were altered is refuted."""
+    """Under a reflection that forgets every edge, on both the bitset and
+    the labelled path, the sweep fails on the first pair with an edge; its
+    witness replays, and one whose claimed relations were altered is
+    refuted."""
     import json
 
-    def discrete(G):
-        PG = G.presheaf()
-        return PG, Preorder(list(PG.at["V"]), ())
-    monkeypatch.setattr(graphpre, "_graph_and_reflection", discrete)
+    def discrete_rows(G):
+        n, pairs, _ = _graph_and_reflection(G)
+        return n, pairs, tuple(1 << i for i in range(n))
+
+    monkeypatch.setattr(graphpre, "_graph_and_reflection", discrete_rows)
+    monkeypatch.setattr(graphpre, "reflect", lambda PG: Preorder(list(PG.at["V"]), ()))
     v = check_product_preservation(max_v=2, max_e=1)
     assert v.outcome == FAIL and v.witness["only_left"] and not v.witness["only_right"]
+    # the first pair whose product has an edge that is not a loop
+    graphs = list(enumerate_graphs(2, 1))
+    moves = [any(a != b for a, b in G.edges) for G in graphs]
+    first = next((G, H) for i, G in enumerate(graphs) for j, H in enumerate(graphs[i:], i)
+                 if moves[i] and H.n or moves[j] and G.n)
+    assert (v.witness["G"], v.witness["H"]) == (first[0].to_json(), first[1].to_json())
     w = json.loads(json.dumps(v.witness))
     r = checks.reverify(w)
     assert (r.outcome, r.stats) == (PASS, {"only_left": w["only_left"], "only_right": []})
@@ -444,6 +509,19 @@ def _edge_lists(draw):
 def test_transitive_closure_matches_fixpoint(graph):
     carrier, pairs = graph
     assert transitive_closure(carrier, pairs) == _closure_by_fixpoint(carrier, pairs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+@example(([0, 1, 2, 3, 4, 5], [(5, 4), (4, 3), (3, 2), (2, 1), (1, 0)]))
+@example(([0, 1, 2, 3], [(0, 1), (1, 2), (2, 0), (2, 0), (3, 3), (2, 3)]))
+def test_transitive_rows_match_fixpoint(graph):
+    """Warshall on successor bitsets gives the transitive closure of the
+    pairs alone, with no diagonal added."""
+    carrier, pairs = graph
+    rows = _transitive_rows(_successor_rows(len(carrier), pairs))
+    closed = {(i, j) for i, r in enumerate(rows) for j in carrier if r >> j & 1}
+    assert closed == _closure_by_fixpoint((), pairs)
 
 
 # ---------------------------------------------------------------------------
