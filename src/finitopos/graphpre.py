@@ -8,9 +8,11 @@ extra loops allowed).  A preorder embeds as the graph with exactly one edge
 per related pair, the distinguished loops being the reflexivity edges.
 
 The reflection L reads only a graph's vertices and its edge relation.  So
-the SLE search tests each square on (vertices, edge pairs) built by one
-relational pullback (`_pullback_relation`), with no presheaf; the product
-sweep tests each pair on successor bitsets (`_product_rows_agree`).  The
+the SLE search tests each square on the vertices and edge pairs of a
+relational pullback (`_pullback_vertices`, `_pullback_edges`), with no
+presheaf, and tests each distinct pullback once: given X and P, the
+pullback's vertex set decides the square; the product sweep tests each
+pair on successor bitsets (`_product_rows_agree`).  The
 exponential sweep and the Pi search test each instance on relations too:
 (F P)^G and Pi_f g have at most one edge per pair of vertices, so each is
 an embedded preorder iff its edge relation, built from the preorders alone
@@ -289,37 +291,42 @@ def reflect_map(f: PresheafMap) -> dict:
     return {v: f.components["V"](v) for v in f.source.at["V"]}
 
 
-def _index_by_image(verts, pairs, u: dict):
-    """The leg P -> Q of a relational pullback, for u: P -> Q: u's fibers
-    over `verts` and P's edge `pairs` grouped by image pair (u a, u b), each
-    in the order given.  Built once per u and shared by every square over it."""
+def _fibers(verts, images) -> dict:
+    """The fibers of the map sending each of `verts` to the image at its
+    position in `images`: each image to the tuple of its preimages, in the
+    order given."""
     fiber: dict = {}
-    for p in verts:
-        fiber.setdefault(u[p], []).append(p)
-    over: dict = {}
-    for a, b in pairs:
-        over.setdefault((u[a], u[b]), []).append((a, b))
-    return fiber, over
+    for p, q in zip(verts, images):
+        fiber.setdefault(q, []).append(p)
+    return {q: tuple(ps) for q, ps in fiber.items()}
 
 
-def _pullback_relation(verts, pairs, w: dict, fiber: dict, over: dict):
-    """(vertices, edge pairs) of the pullback of graphs X -> Q <- P, from X's
-    `verts` and edge `pairs`, its vertex map w and `_index_by_image` of the
-    other leg.  Vertices are (x, p) with w x = u p, x by x and each fiber in
-    P's order, as pullback_presheaf lists them; the edge pairs are
-    ((s, a), (t, b)) for each edge (s, t) of X and each (a, b) over
-    (w s, w t).  Q must have one edge per related pair, as an embedded
-    preorder or the one-vertex graph does."""
-    return ([(x, p) for x in verts for p in fiber.get(w[x], ())],
-            [((s, a), (t, b)) for s, t in pairs for a, b in over.get((w[s], w[t]), ())])
+def _pullback_vertices(verts, w: dict, fiber: dict) -> list:
+    """The vertices (x, p) with w x = u p of the pullback of graphs
+    X -> F Q <- F P, from X's `verts`, its vertex map w and u's `_fibers`
+    over P's carrier: x by x and each fiber in P's order, as
+    pullback_presheaf lists them."""
+    return [(x, p) for x in verts for p in fiber.get(w[x], ())]
+
+
+def _pullback_edges(pairs, w: dict, fiber: dict, rel) -> list:
+    """The edge pairs of the same pullback, from X's edge `pairs` and P's
+    relation `rel`.  F Q has one edge per related pair, so an edge (s, t)
+    of X and an edge a <= b of F P meet over the same edge iff
+    (w s, w t) = (u a, u b): the pairs are ((s, a), (t, b)) for a in the
+    fiber over w s and b in the fiber over w t with a <= b.  That is
+    pullback_presheaf's order too, since F P lists P's pairs
+    lexicographically in P's carrier order."""
+    return [((s, a), (t, b)) for s, t in pairs
+            for a in fiber.get(w[s], ()) for b in fiber.get(w[t], ()) if (a, b) in rel]
 
 
 def _product_relation(G: Presheaf, H: Presheaf):
-    """(vertices, edge pairs) of G x H, the pullback over the one-vertex
-    graph: every vertex and edge goes to its single vertex, None."""
-    gv, hv = list(G.at["V"]), list(H.at["V"])
-    return _pullback_relation(gv, _edge_pairs(G), dict.fromkeys(gv),
-                              *_index_by_image(hv, _edge_pairs(H), dict.fromkeys(hv)))
+    """(vertices, edge pairs) of G x H, in product_presheaf's order: the
+    pairs of vertices and the pairs of edges, each x by x."""
+    hv, hp = list(H.at["V"]), _edge_pairs(H)
+    return ([(x, y) for x in G.at["V"] for y in hv],
+            [((s, a), (t, b)) for s, t in _edge_pairs(G) for a, b in hp])
 
 
 def _edge_respecting_maps(verts, pairs, targets, related) -> list:
@@ -611,37 +618,57 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
 def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
     """Squares in the order find_sle_failure promises.  L reads only a
     graph's vertices and edges, so each square is tested on relations: the
-    pullback's vertices and edge pairs (`_pullback_relation`), with no
-    presheaf built.  A hit is confirmed by the generic presheaf pullback
-    (`_sle_instance_fails`, which replay uses too), whose data the witness
-    is built from; if the two disagree the search raises.  Each value is
-    built once for the inputs it depends on:
+    pullback's vertices and edge pairs (`_pullback_vertices`,
+    `_pullback_edges`), with no presheaf built.  A hit is confirmed by the
+    generic presheaf pullback (`_sle_instance_fails`, which replay uses
+    too), whose data the witness is built from; if the two disagree the
+    search raises.
+
+    Each distinct pullback is tested once.  Given X and P, a square's
+    verdict depends only on the pullback's vertex set R = {(x, p) : w x =
+    u p}: its edges are ((s, a), (t, b)) for each edge (s, t) of X and each
+    a <= b in P with both ends in R (F Q has one edge per related pair), and
+    the preorder pullback is LX x P restricted to R.  R is the fibers of u
+    over w x, x by x, so those tuples key a memo that lives for this call:
+    per (P, X), the keys of squares that reflected to a pullback.  A square
+    whose key is there is charged and counted but not tested again.  The
+    search returns at its first failing square, so only passing keys are
+    stored and the first witness is unchanged; find_sle_failure(3, 2) tests
+    802 of its 13 251 squares.
+
+    Each other value is built once for the inputs it depends on:
     - each preorder of each size up to max_v, with its embedding, once per
       search;
+    - the monotone maps P -> Q, as their values in P's carrier order, once
+      per (total, nq, np), which the loop over nx shares;
+    - u's fibers, once per u within one (total, nq, np, nx);
     - the graphs X of one size, with their presheaves, reflections LX,
       vertices and edge pairs, once per (total, nq, np, nx), and only once
       some u: P -> Q of those sizes exists;
     - the edge-respecting vertex maps X -> Q, once per X within the loop
-      over one Q;
-    - u's fibers and P's related pairs indexed by image pair, once per
-      (total, nq, np, nx, Q, P, u): find_sle_failure(3, 2) builds 5 975
-      for 1 476 distinct (Q, P, u)."""
-    embedded = [[(P, embed(P)) for P in preorders_of_size(n)] for n in range(max_v + 1)]
+      over one Q."""
+    # (P, embed(P), memo: X -> keys of P's squares over X that passed)
+    embedded = [[(P, embed(P), {}) for P in preorders_of_size(n)] for n in range(max_v + 1)]
     tested = 0
     for total in range(max_total + 1):
         for nq in range(0, max_v + 1):
             for np_ in range(0, max_v + 1):
+                legs = None
                 for nx in range(0, max_v + 1):
                     ex = total - nq - np_ - nx
                     if ex < 0 or ex > max_e:
                         continue
+                    if legs is None:
+                        legs = [(Q, FQ, [(P, FP, passed,
+                                          [tuple(u.values()) for u in monotone_maps(P, Q)])
+                                         for P, FP, passed in embedded[np_]])
+                                for Q, FQ, _ in embedded[nq]]
                     graphs = None
-                    for Q, FQ in embedded[nq]:
+                    for Q, FQ, ps in legs:
                         maps = {}
-                        for P, FP in embedded[np_]:
-                            for u in monotone_maps(P, Q):
-                                # embed(P) lists P.rel in canonical order
-                                fiber, over = _index_by_image(P.carrier, FP.at["E"].elements, u)
+                        for P, FP, passed, us in ps:
+                            for uv in us:
+                                fiber = _fibers(P.carrier, uv)
                                 if graphs is None:
                                     graphs = [(X, PX, reflect(PX), list(PX.at["V"]),
                                                _edge_pairs(PX))
@@ -652,17 +679,24 @@ def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
                                     if ws is None:
                                         ws = maps[X] = _edge_respecting_maps(
                                             xv, xp, Q.carrier, Q.rel)
+                                    seen = passed.setdefault(X, set())
                                     for w in ws:
                                         b_.charge()
                                         tested += 1
+                                        key = tuple([fiber.get(w[x], ()) for x in xv])
+                                        if key in seen:
+                                            continue
                                         bad = _sle_relation_fails(
-                                            P, LX, *_pullback_relation(xv, xp, w, fiber, over))
+                                            P, LX, _pullback_vertices(xv, w, fiber),
+                                            _pullback_edges(xp, w, fiber, P.rel))
                                         if bad is not None:
+                                            u = dict(zip(P.carrier, uv))
                                             f, bad = _confirm_sle_hit(
                                                 X, PX, LX, P, FP, FQ, u, w, bad)
                                             return _sle_witness_verdict(
                                                 X, P, Q, u, f, bad, tested,
                                                 {"max_v": max_v, "max_e": max_e})
+                                        seen.add(key)
     return Verdict("sle-failure-search", NOT_FOUND,
                    bounds={"max_v": max_v, "max_e": max_e},
                    stats={"squares": tested})

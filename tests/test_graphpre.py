@@ -23,15 +23,16 @@ from finitopos.graphpre import (
     RefGraph,
     _edge_pairs,
     _exponential_relation,
+    _fibers,
     _graph_and_reflection,
-    _index_by_image,
     _is_transitive,
     _labelled_product_difference,
     _pi_instances,
     _pi_relation,
     _product_relation,
     _product_rows_agree,
-    _pullback_relation,
+    _pullback_edges,
+    _pullback_vertices,
     _sle_instance_fails,
     _sle_relation_fails,
     _successor_rows,
@@ -578,6 +579,11 @@ def _sle_squares(max_v, max_e):
                                 yield P, FP, u, X, reflect(PX), f, fu
 
 
+# distinct (X, P, pullback vertex list) keys among the squares that the
+# search tests, at (max_v, max_e): all of (2, 4), and (3, 2) up to its hit
+DISTINCT_PULLBACKS = {(2, 4): 1182, (3, 2): 802}
+
+
 @pytest.mark.parametrize("max_v, max_e, squares, first_hit", [(2, 4, 5321, False),
                                                               (3, 2, 13251, True)])
 def test_relational_square_test_matches_presheaf_pullback(max_v, max_e, squares, first_hit):
@@ -585,21 +591,43 @@ def test_relational_square_test_matches_presheaf_pullback(max_v, max_e, squares,
     its first hit, the relational pullback lists the presheaf pullback's
     vertices and edge pairs in its order, and the relational test gives the
     outcome, missing relations, L W and preorder pullback of
-    _sle_instance_fails."""
-    tested = 0
+    _sle_instance_fails.  The search's memo key, u's fibers over w x for
+    each vertex x of X, names the same squares as (X, P, vertex list), and
+    _sle_instance_fails gives one result on all the squares of a key."""
+    tested, verdicts, keys = 0, {}, set()
     for P, FP, u, X, LX, f, fu in _sle_squares(max_v, max_e):
         tested += 1
         w = reflect_map(f)
-        fiber, over = _index_by_image(P.carrier, FP.at["E"].elements, u)
-        verts, pairs = _pullback_relation(list(f.source.at["V"]), _edge_pairs(f.source),
-                                          w, fiber, over)
+        xv = list(f.source.at["V"])
+        fiber = _fibers(P.carrier, [u[p] for p in P.carrier])
+        verts = _pullback_vertices(xv, w, fiber)
+        pairs = _pullback_edges(_edge_pairs(f.source), w, fiber, P.rel)
         W, _, _ = pullback_presheaf(f, fu)
         assert (verts, pairs) == (list(W.at["V"]), _edge_pairs(W))
         engine = _sle_instance_fails(P, LX, fu, f)
         assert _sle_relation_fails(P, LX, verts, pairs) == engine, (X, P, u, w)
+        key = (X, P, tuple(verts))
+        assert verdicts.setdefault(key, engine) == engine, key
+        keys.add((key, tuple(fiber.get(w[x], ()) for x in xv)))
         if engine is not None:
             break
     assert (tested, engine is not None) == (squares, first_hit)
+    assert (len(verdicts) == len(keys) == len({(k[0], k[1], m) for k, m in keys})
+            == DISTINCT_PULLBACKS[max_v, max_e])
+
+
+@pytest.mark.parametrize("max_v, max_e", list(DISTINCT_PULLBACKS))
+def test_sle_search_tests_each_distinct_pullback_once(monkeypatch, max_v, max_e):
+    """The search builds a square's edges, and tests it, only for a key it
+    has not seen pass: once per distinct (X, P, vertex list) counted above."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _pullback_edges(*args)
+    monkeypatch.setattr(graphpre, "_pullback_edges", counted)
+    find_sle_failure(max_v=max_v, max_e=max_e)
+    assert len(built) == DISTINCT_PULLBACKS[max_v, max_e]
 
 
 def test_sle_search_raises_when_the_oracle_rejects_a_relational_hit(monkeypatch):
@@ -607,10 +635,7 @@ def test_sle_search_raises_when_the_oracle_rejects_a_relational_hit(monkeypatch)
     of the (2, 2) space, all of which reflect to pullbacks; the presheaf
     pullback does not confirm the first, so the search raises rather than
     return FAIL."""
-    def edgeless(*args):
-        verts, _ = _pullback_relation(*args)
-        return verts, []
-    monkeypatch.setattr(graphpre, "_pullback_relation", edgeless)
+    monkeypatch.setattr(graphpre, "_pullback_edges", lambda *args: [])
     with pytest.raises(FinitoposError, match="disagree"):
         find_sle_failure(max_v=2, max_e=2)
 
@@ -621,7 +646,7 @@ def test_sle_search_at_default_bounds_finds_the_minimal_square(sle_verdict):
     assert v.witness["square"] == sle_verdict.witness["square"]
 
 
-@pytest.mark.parametrize("max_v, max_e, squares", [(2, 2, 1518), (2, 4, 5321)])
+@pytest.mark.parametrize("max_v, max_e, squares", [(2, 2, 1518), (2, 4, 5321), (3, 1, 140664)])
 def test_sle_search_covers_space_without_failure(max_v, max_e, squares):
     v = find_sle_failure(max_v=max_v, max_e=max_e)
     assert v.outcome == NOT_FOUND
@@ -632,6 +657,13 @@ def test_sle_search_budget_exhaustion_is_inconclusive():
     v = find_sle_failure(max_v=3, max_e=2, budget=5000)
     assert v.outcome == INCONCLUSIVE
     assert v.bounds["budget"] == 5000
+
+
+@pytest.mark.parametrize("budget, outcome", [(13250, INCONCLUSIVE), (13251, FAIL)])
+def test_sle_search_charges_the_budget_once_per_square(budget, outcome):
+    """Squares whose key the memo holds are charged too: the (3, 2) search
+    reaches its witness at square 13 251 and needs exactly that budget."""
+    assert find_sle_failure(max_v=3, max_e=2, budget=budget).outcome == outcome
 
 
 def test_pi_witness_does_not_depend_on_the_hash_seed():
