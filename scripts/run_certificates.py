@@ -19,6 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from finitopos import checks, fixtures, graphpre, kan  # noqa: E402
+from finitopos.cli import _SIZE  # noqa: E402
 from finitopos.fincat import check_adjunction  # noqa: E402
 
 
@@ -37,11 +38,11 @@ def stamp(label, verdict, t0):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--carrier-bound", type=int, default=2,
+    ap.add_argument("--carrier-bound", type=_SIZE, default=2,
                     help="presheaf corpus carrier bound for the Kan chain")
-    ap.add_argument("--max-vertices", type=int, default=4)
-    ap.add_argument("--max-edges", type=int, default=8)
-    ap.add_argument("--graph-bound", type=int, default=3,
+    ap.add_argument("--max-vertices", type=_SIZE, default=4)
+    ap.add_argument("--max-edges", type=_SIZE, default=8)
+    ap.add_argument("--graph-bound", type=_SIZE, default=3,
                     help="vertex bound for the exhaustive product/exponential sweeps")
     ap.add_argument("--out", type=Path, default=None,
                     help="write all verdicts to a JSON file")

@@ -7,19 +7,20 @@ loop per vertex, plus a multiset of extra directed edges (parallel edges and
 extra loops allowed).  A preorder embeds as the graph with exactly one edge
 per related pair, the distinguished loops being the reflexivity edges.
 
-The reflection L reads only a graph's vertices and its edge relation.  So
-the SLE search tests each square on the vertices and edge pairs of a
-relational pullback (`_pullback_vertices`, `_pullback_edges`), with no
-presheaf, and tests each distinct pullback once: given X and P, the
-pullback's vertex set decides the square; the product sweep tests each
-pair on successor bitsets (`_product_rows_agree`).  The
-exponential sweep and the Pi search test each instance on relations too:
-(F P)^G and Pi_f g have at most one edge per pair of vertices, so each is
-an embedded preorder iff its edge relation, built from the preorders alone
-(`_exponential_relation`, `_pi_relation`), is transitive.  The generic
-presheaf constructions stay the oracle: they re-test each instance a search
-reports as a FAIL, the witness is built from their data, and replay uses
-them.
+The reflection L reads only a graph's vertices and its edge relation, so the
+two sweeps and the SLE and Pi searches test each candidate on relations,
+with no presheaf.  The SLE search tests a square on the vertices and edge pairs of its pullback
+(`_pullback_vertices`, `_pullback_edges`), and each distinct pullback once;
+the product sweep tests each pair on successor bitsets
+(`_product_rows_agree`); the exponential sweep and the Pi search test
+whether an edge relation built from the preorders alone
+(`_exponential_relation`, `_pi_relation`) is transitive, since (F P)^G and
+Pi_f g have at most one edge per pair of vertices.  The generic presheaf
+constructions stay the oracle: they re-test each instance a search reports
+as a FAIL, the witness is built from their data, and replay uses them.
+The exponential sweep and the SLE, Pi and sieve searches are each one
+function around one loop, which charges the budget once per candidate and
+is INCONCLUSIVE when it runs out.
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ class RefGraph:
     def __post_init__(self):
         if self.edges != tuple(sorted(self.edges)):
             raise InvalidStructure(["graph edges are not sorted"])
-        bad = [f"edge ({a}, {b}) leaves vertices 0..{self.n - 1}"
-               for (a, b) in self.edges if not (0 <= a < self.n and 0 <= b < self.n)]
+        bad = [f"vertex count {self.n} is negative"] if self.n < 0 else []
+        bad += [f"edge ({a}, {b}) leaves vertices 0..{self.n - 1}"
+                for (a, b) in self.edges if not (0 <= a < self.n and 0 <= b < self.n)]
         if bad:
             raise InvalidStructure(bad)
 
@@ -362,9 +364,7 @@ def _is_transitive(n: int, pairs) -> bool:
     """Is the relation `pairs` on 0..n-1 transitive?  Each index's successors
     form a bitset; the relation is transitive iff no pair's target has a
     successor its source lacks."""
-    succ = [0] * n
-    for i, j in pairs:
-        succ[i] |= 1 << j
+    succ = _successor_rows(n, pairs)
     return all(not succ[j] & ~succ[i] for i, j in pairs)
 
 
@@ -602,111 +602,74 @@ def _sle_instance_fails(P: Preorder, LX: Preorder, fu: PresheafMap, f: PresheafM
 
 def find_sle_failure(max_v: int = 4, max_e: int = 8,
                      budget: Budget | int | None = None) -> Verdict:
-    """Search canonical pullback squares of graphs over embedded-preorder legs
-    whose preorder reflection fails to be a pullback.  Candidates are ordered
-    by total size then lexicographically, so the first hit is minimal."""
+    """Search canonical pullback squares X -> F Q <- F P of graphs over
+    embedded-preorder legs whose preorder reflection fails to be a pullback,
+    ordered by total size nq + np + nx + ex, then by (nq, np, nx), then
+    lexicographically, so the first hit is minimal.
+
+    L reads only a graph's vertices and edges, so each square is tested on
+    its pullback's vertices and edge pairs alone, and a hit is confirmed
+    through the presheaf pullback (`_confirm_sle_hit`), from whose data the
+    witness is built.  Given X and P, the pullback's vertex set decides the
+    square, and u's fibers over w x, x by x, name that set: a square whose
+    key already passed is charged and counted but not tested again.  Each
+    input is built on first use and kept for the search, except the vertex
+    maps X -> Q, which are kept within one Q."""
     b_ = ensure_budget(budget, "find_sle_failure")
-    max_total = max_v * 3 + max_e
-    try:
-        return _sle_search(max_v, max_e, max_total, b_)
-    except BudgetExceeded:
-        return Verdict("sle-failure-search", INCONCLUSIVE,
-                       bounds={"max_v": max_v, "max_e": max_e, "budget": b_.limit},
-                       detail="budget exhausted before the space was covered")
-
-
-def _sle_search(max_v, max_e, max_total, b_) -> Verdict:
-    """Squares in the order find_sle_failure promises.  L reads only a
-    graph's vertices and edges, so each square is tested on relations: the
-    pullback's vertices and edge pairs (`_pullback_vertices`,
-    `_pullback_edges`), with no presheaf built.  A hit is confirmed by the
-    generic presheaf pullback (`_sle_instance_fails`, which replay uses
-    too), whose data the witness is built from; if the two disagree the
-    search raises.
-
-    Each distinct pullback is tested once.  Given X and P, a square's
-    verdict depends only on the pullback's vertex set R = {(x, p) : w x =
-    u p}: its edges are ((s, a), (t, b)) for each edge (s, t) of X and each
-    a <= b in P with both ends in R (F Q has one edge per related pair), and
-    the preorder pullback is LX x P restricted to R.  R is the fibers of u
-    over w x, x by x, so those tuples key a memo that lives for this call:
-    per (P, X), the keys of squares that reflected to a pullback.  A square
-    whose key is there is charged and counted but not tested again.  The
-    search returns at its first failing square, so only passing keys are
-    stored and the first witness is unchanged; find_sle_failure(3, 2) tests
-    802 of its 13 251 squares.
-
-    Each other value is built once for the inputs it depends on:
-    - each preorder of each size up to max_v, with its embedding, once per
-      search;
-    - the monotone maps P -> Q, as their values in P's carrier order, once
-      per (total, nq, np), which the loop over nx shares;
-    - u's fibers, once per u within one (total, nq, np, nx);
-    - the graphs X of one size, with their presheaves, reflections LX,
-      vertices and edge pairs, once per (total, nq, np, nx), and only once
-      some u: P -> Q of those sizes exists;
-    - the edge-respecting vertex maps X -> Q, once per X within the loop
-      over one Q."""
-    # (P, embed(P), memo: X -> keys of P's squares over X that passed)
+    bounds = {"max_v": max_v, "max_e": max_e}
+    # per size: (P, embed(P), per X the keys of P's squares over X that passed)
     embedded = [[(P, embed(P), {}) for P in preorders_of_size(n)] for n in range(max_v + 1)]
+    graphs: dict = {}  # (nx, ex) -> [(X, LX, vertices, edge pairs)]
+    monotone: dict = {}  # (P, Q) -> the monotone maps P -> Q as value tuples
     tested = 0
-    for total in range(max_total + 1):
-        for nq in range(0, max_v + 1):
-            for np_ in range(0, max_v + 1):
-                legs = None
-                for nx in range(0, max_v + 1):
-                    ex = total - nq - np_ - nx
-                    if ex < 0 or ex > max_e:
-                        continue
-                    if legs is None:
-                        legs = [(Q, FQ, [(P, FP, passed,
-                                          [tuple(u.values()) for u in monotone_maps(P, Q)])
-                                         for P, FP, passed in embedded[np_]])
-                                for Q, FQ, _ in embedded[nq]]
-                    graphs = None
-                    for Q, FQ, ps in legs:
-                        maps = {}
-                        for P, FP, passed, us in ps:
-                            for uv in us:
-                                fiber = _fibers(P.carrier, uv)
-                                if graphs is None:
-                                    graphs = [(X, PX, reflect(PX), list(PX.at["V"]),
-                                               _edge_pairs(PX))
-                                              for X in graphs_of_size(nx, ex)
-                                              for PX in [X.presheaf()]]
-                                for X, PX, LX, xv, xp in graphs:
-                                    ws = maps.get(X)
-                                    if ws is None:
-                                        ws = maps[X] = _edge_respecting_maps(
-                                            xv, xp, Q.carrier, Q.rel)
-                                    seen = passed.setdefault(X, set())
-                                    for w in ws:
-                                        b_.charge()
-                                        tested += 1
-                                        key = tuple([fiber.get(w[x], ()) for x in xv])
-                                        if key in seen:
-                                            continue
-                                        bad = _sle_relation_fails(
-                                            P, LX, _pullback_vertices(xv, w, fiber),
-                                            _pullback_edges(xp, w, fiber, P.rel))
-                                        if bad is not None:
-                                            u = dict(zip(P.carrier, uv))
-                                            f, bad = _confirm_sle_hit(
-                                                X, PX, LX, P, FP, FQ, u, w, bad)
-                                            return _sle_witness_verdict(
-                                                X, P, Q, u, f, bad, tested,
-                                                {"max_v": max_v, "max_e": max_e})
-                                        seen.add(key)
-    return Verdict("sle-failure-search", NOT_FOUND,
-                   bounds={"max_v": max_v, "max_e": max_e},
-                   stats={"squares": tested})
+    try:
+        for total in range(3 * max_v + max_e + 1):
+            for nq, np_, nx in itertools.product(range(max_v + 1), repeat=3):
+                ex = total - nq - np_ - nx
+                if not 0 <= ex <= max_e:
+                    continue
+                if (nx, ex) not in graphs:
+                    graphs[nx, ex] = [(X, reflect(PX), list(PX.at["V"]), _edge_pairs(PX))
+                                      for X in graphs_of_size(nx, ex) for PX in [X.presheaf()]]
+                for Q, FQ, _ in embedded[nq]:
+                    maps: dict = {}  # X -> the edge-respecting maps X -> Q as value tuples
+                    for P, FP, passed in embedded[np_]:
+                        if (P, Q) not in monotone:
+                            monotone[P, Q] = [tuple(u.values()) for u in monotone_maps(P, Q)]
+                        for uv in monotone[P, Q]:
+                            fiber = _fibers(P.carrier, uv)
+                            for X, LX, xv, xp in graphs[nx, ex]:
+                                if X not in maps:
+                                    ws = _edge_respecting_maps(xv, xp, Q.carrier, Q.rel)
+                                    maps[X] = [tuple(w.values()) for w in ws]
+                                seen = passed.setdefault(X, set())
+                                for wv in maps[X]:
+                                    b_.charge()
+                                    tested += 1
+                                    key = tuple([fiber.get(q, ()) for q in wv])
+                                    if key in seen:
+                                        continue
+                                    w = dict(zip(xv, wv))
+                                    bad = _sle_relation_fails(
+                                        P, LX, _pullback_vertices(xv, w, fiber),
+                                        _pullback_edges(xp, w, fiber, P.rel))
+                                    if bad is not None:
+                                        u = dict(zip(P.carrier, uv))
+                                        f, bad = _confirm_sle_hit(X, LX, P, FP, FQ, u, w, bad)
+                                        return _sle_witness_verdict(X, P, Q, u, f, bad,
+                                                                    tested, bounds)
+                                    seen.add(key)
+    except BudgetExceeded:
+        return Verdict("sle-failure-search", INCONCLUSIVE, bounds=dict(bounds, budget=b_.limit),
+                       detail="budget exhausted before the space was covered")
+    return Verdict("sle-failure-search", NOT_FOUND, bounds=bounds, stats={"squares": tested})
 
 
-def _confirm_sle_hit(X, PX, LX, P, FP, FQ, u, w, bad):
+def _confirm_sle_hit(X, LX, P, FP, FQ, u, w, bad):
     """(f, failure data) for a square the relational test failed, re-tested
     through the generic presheaf pullback; raises FinitoposError if that
     finds no failure or different failure data."""
-    f = _graph_map(PX, FQ, w)
+    f = _graph_map(X.presheaf(), FQ, w)
     confirmed = _sle_instance_fails(P, LX, embedded_map(u, FP, FQ), f)
     if confirmed != bad:
         raise FinitoposError(f"relational and presheaf pullbacks disagree on the square "
@@ -927,44 +890,35 @@ def _sieve_factors(u: PresheafMap, FLB: Presheaf, nats: list) -> bool:
 def find_sieve_witness(max_n: int = 3, max_v: int = 3, max_e: int = 4,
                        budget: Budget | int | None = None) -> Verdict:
     """Search for a preorder A0, graph B0 and u: B0 -> F(A0) such that u lies
-    in the sieve it generates but F(L u) does not."""
+    in the sieve it generates but F(L u) does not.  Each graph's presheaf,
+    vertices and edge pairs are built once per search, and F L B0 with
+    Nat(F L B0, B0) once, at the first u out of B0."""
     b_ = ensure_budget(budget, "find_sieve_witness")
-    try:
-        return _sieve_search(max_n, max_v, max_e, b_)
-    except BudgetExceeded:
-        return Verdict("sieve-witness-search", INCONCLUSIVE,
-                       bounds={"max_n": max_n, "max_v": max_v, "max_e": max_e,
-                               "budget": b_.limit},
-                       detail="budget exhausted before the space was covered")
-
-
-def _sieve_search(max_n, max_v, max_e, b_) -> Verdict:
-    """Each graph B0's presheaf, vertices and edge pairs are built once per
-    search, and F L B0 with Nat(F L B0, B0) once, at the first u out of B0;
-    each A0 is embedded once."""
-    tested = 0
+    bounds = {"max_n": max_n, "max_v": max_v, "max_e": max_e}
     graphs = [(B0, PB, list(PB.at["V"]), _edge_pairs(PB))
               for B0 in enumerate_graphs(max_v, max_e) for PB in [B0.presheaf()]]
     reflected: dict = {}  # B0 -> (F L B0, Nat(F L B0, B0))
-    for A0 in enumerate_preorders(max_n):
-        FA = embed(A0)
-        for B0, PB, verts, pairs in graphs:
-            for uv in _edge_respecting_maps(verts, pairs, FA.at["V"].elements, FA.at["E"]):
-                b_.charge()
-                tested += 1
-                if B0 not in reflected:
-                    FLB = embed(reflect(PB))
-                    reflected[B0] = FLB, nat_transformations(FLB, PB)
-                if not _sieve_factors(_graph_map(PB, FA, uv), *reflected[B0]):
-                    from .report import elem_to_json
-                    return Verdict("sieve-witness-search", FAIL,
-                                   witness={"kind": "graph-sieve",
-                                            "A0": A0.to_json(), "B0": B0.to_json(),
-                                            "u": {k: elem_to_json(val)
-                                                  for k, val in sorted(uv.items())}},
-                                   bounds={"max_n": max_n, "max_v": max_v, "max_e": max_e},
-                                   stats={"tested": tested},
-                                   detail="u in its sieve, F(Lu) not")
-    return Verdict("sieve-witness-search", NOT_FOUND,
-                   bounds={"max_n": max_n, "max_v": max_v, "max_e": max_e},
-                   stats={"tested": tested})
+    tested = 0
+    try:
+        for A0 in enumerate_preorders(max_n):
+            FA = embed(A0)
+            for B0, PB, verts, pairs in graphs:
+                for uv in _edge_respecting_maps(verts, pairs, FA.at["V"].elements, FA.at["E"]):
+                    b_.charge()
+                    tested += 1
+                    if B0 not in reflected:
+                        FLB = embed(reflect(PB))
+                        reflected[B0] = FLB, nat_transformations(FLB, PB)
+                    if not _sieve_factors(_graph_map(PB, FA, uv), *reflected[B0]):
+                        from .report import elem_to_json
+                        return Verdict("sieve-witness-search", FAIL,
+                                       witness={"kind": "graph-sieve",
+                                                "A0": A0.to_json(), "B0": B0.to_json(),
+                                                "u": {k: elem_to_json(val)
+                                                      for k, val in sorted(uv.items())}},
+                                       bounds=bounds, stats={"tested": tested},
+                                       detail="u in its sieve, F(Lu) not")
+    except BudgetExceeded:
+        return Verdict("sieve-witness-search", INCONCLUSIVE, bounds=dict(bounds, budget=b_.limit),
+                       detail="budget exhausted before the space was covered")
+    return Verdict("sieve-witness-search", NOT_FOUND, bounds=bounds, stats={"tested": tested})

@@ -1,6 +1,9 @@
 """Command-line contract: exit codes, reports, replay."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +206,19 @@ def test_negative_bound_is_usage_error(argv, capsys):
     out, err = capsys.readouterr()
     assert "NOT-FOUND" not in out and "PASS" not in out
     assert "error:" in err and "non-negative integer" in err
+
+
+@pytest.mark.parametrize("option", ["--carrier-bound", "--max-vertices", "--max-edges",
+                                    "--graph-bound"])
+def test_certificate_script_rejects_a_negative_bound(option):
+    """scripts/run_certificates.py parses its bounds as the CLI does: a
+    negative one is a usage error before any certificate runs."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_certificates.py"
+    done = subprocess.run([sys.executable, str(script), option, "-1"],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert done.stdout == ""
+    assert "non-negative integer" in done.stderr
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -666,6 +666,27 @@ def test_sle_search_charges_the_budget_once_per_square(budget, outcome):
     assert find_sle_failure(max_v=3, max_e=2, budget=budget).outcome == outcome
 
 
+def test_sle_search_builds_each_input_once(monkeypatch):
+    """One (3, 2) search enumerates each of its 12 graph sizes once, and the
+    monotone maps of each (P, Q) pair it reaches once."""
+    import collections
+    sizes, pairs = collections.Counter(), collections.Counter()
+    of_size, monotone = graphs_of_size, monotone_maps
+
+    def counted_graphs(n, e):
+        sizes[n, e] += 1
+        return of_size(n, e)
+
+    def counted_maps(P, Q):
+        pairs[P, Q] += 1
+        return monotone(P, Q)
+    monkeypatch.setattr(graphpre, "graphs_of_size", counted_graphs)
+    monkeypatch.setattr(graphpre, "monotone_maps", counted_maps)
+    assert find_sle_failure(max_v=3, max_e=2).stats == {"squares": 13251}
+    assert sorted(sizes.items()) == [((nx, ex), 1) for nx in range(4) for ex in range(3)]
+    assert (len(pairs), set(pairs.values())) == (196, {1})
+
+
 def test_pi_witness_does_not_depend_on_the_hash_seed():
     """is_embedded_preorder names the least missing edge, so the witness's
     violation text is the same whatever order the relation's set iterates in."""
@@ -797,6 +818,18 @@ def test_no_sle_failure_among_trivial_squares():
 def test_graph_with_edge_outside_vertices_rejected():
     with pytest.raises(InvalidStructure):
         RefGraph(2, ((0, 5),))
+
+
+def test_graph_with_negative_vertex_count_rejected():
+    """A negative count from replay input names no graph: it is rejected
+    where the edges are checked, so a graph-product witness built on it is
+    not replayed at all."""
+    with pytest.raises(InvalidStructure, match="negative"):
+        RefGraph.from_json({"n": -2, "edges": []})
+    w = {"kind": "graph-product", "G": {"n": -2, "edges": []},
+         "H": RefGraph.of(1, []).to_json(), "only_left": [], "only_right": []}
+    with pytest.raises(InvalidStructure, match="negative"):
+        checks.reverify(w)
 
 
 def test_graph_json_roundtrip():
