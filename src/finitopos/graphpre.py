@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .budget import Budget, ensure_budget
 from .errors import BudgetExceeded, FinitoposError, InvalidStructure, ShapeMismatch
@@ -334,12 +335,19 @@ def _product_relation(G: Presheaf, H: Presheaf):
 def _edge_respecting_maps(verts, pairs, targets, related) -> list:
     """Each map w: verts -> targets, as a dict, with (w a, w b) in `related`
     for every (a, b) in `pairs`; in the order of itertools.product."""
-    out = []
-    for values in itertools.product(targets, repeat=len(verts)):
-        w = dict(zip(verts, values))
-        if all((w[a], w[b]) in related for (a, b) in pairs):
-            out.append(w)
-    return out
+    return [dict(zip(verts, values))
+            for values in _edge_respecting_values(verts, pairs, targets, related)]
+
+
+def _edge_respecting_values(verts, pairs, targets, related) -> list:
+    """The same maps as tuples of their values in `verts` order, each pair
+    checked once on the tuple's indices.  `related` is reflexive on
+    `targets` (a preorder, or the edges of an embedded one), so loops hold
+    for every map and are not checked."""
+    index = {v: i for i, v in enumerate(verts)}
+    checks = list(dict.fromkeys((index[a], index[b]) for a, b in pairs if a != b))
+    return [values for values in itertools.product(targets, repeat=len(verts))
+            if all((values[i], values[j]) in related for i, j in checks)]
 
 
 def _successor_rows(n: int, pairs) -> list:
@@ -578,16 +586,21 @@ def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 
 def _sle_relation_fails(P: Preorder, LX: Preorder, verts, pairs):
     """Test one candidate square from its pullback W's vertices and edge
     pairs alone: is L W, their reflexive-transitive closure, the preorder
-    pullback of LX and P?  Returns None or failure data."""
-    rel = transitive_closure(verts, pairs)
+    pullback of LX and P?  Returns None or failure data.  The test runs on
+    successor bitsets over the vertices' indices; the relations are built
+    only for a failure."""
+    lx_rel, p_rel = LX.rel, P.rel
+    n, index = len(verts), {v: i for i, v in enumerate(verts)}
+    closure = _transitive_rows(_successor_rows(n, [(i, i) for i in range(n)]
+                                               + [(index[a], index[b]) for a, b in pairs]))
     # pullback of preorders: pairs with matching images, componentwise order
-    pb_rel = frozenset(
-        (w1, w2)
-        for w1 in verts for w2 in verts
-        if LX.leq(w1[0], w2[0]) and P.leq(w1[1], w2[1])
-    )
-    if rel == pb_rel:
+    pullback = [sum([1 << j for j, (x2, p2) in enumerate(verts)
+                     if (x1, x2) in lx_rel and (p1, p2) in p_rel]) for x1, p1 in verts]
+    if closure == pullback:
         return None
+    rel = transitive_closure(verts, pairs)
+    pb_rel = frozenset((w1, w2) for w1 in verts for w2 in verts
+                       if (w1[0], w2[0]) in lx_rel and (w1[1], w2[1]) in p_rel)
     missing = sorted(pb_rel - rel, key=canon_key)
     return {"missing": missing, "LW": Preorder(verts, rel), "pb_rel": pb_rel}
 
@@ -614,13 +627,14 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
     square, and u's fibers over w x, x by x, name that set: a square whose
     key already passed is charged and counted but not tested again.  Each
     input is built on first use and kept for the search, except the vertex
-    maps X -> Q, which are kept within one Q."""
+    maps X -> Q, which are built for all X of a size within one Q."""
     b_ = ensure_budget(budget, "find_sle_failure")
     bounds = {"max_v": max_v, "max_e": max_e}
-    # per size: (P, embed(P), per X the keys of P's squares over X that passed)
-    embedded = [[(P, embed(P), {}) for P in preorders_of_size(n)] for n in range(max_v + 1)]
+    # per size: (P, per (nx, ex) the keys of P's squares over each X that passed)
+    preorders = [[(P, {}) for P in preorders_of_size(n)] for n in range(max_v + 1)]
     graphs: dict = {}  # (nx, ex) -> [(X, LX, vertices, edge pairs)]
     monotone: dict = {}  # (P, Q) -> the monotone maps P -> Q as value tuples
+    fibers: dict = {}  # (P's carrier, Q's carrier, u's value tuple) -> u's fibers over Q
     tested = 0
     try:
         for total in range(3 * max_v + max_e + 1):
@@ -631,22 +645,28 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
                 if (nx, ex) not in graphs:
                     graphs[nx, ex] = [(X, reflect(PX), list(PX.at["V"]), _edge_pairs(PX))
                                       for X in graphs_of_size(nx, ex) for PX in [X.presheaf()]]
-                for Q, FQ, _ in embedded[nq]:
-                    maps: dict = {}  # X -> the edge-respecting maps X -> Q as value tuples
-                    for P, FP, passed in embedded[np_]:
+                xs = graphs[nx, ex]
+                for Q, _ in preorders[nq]:
+                    # per X, the edge-respecting maps X -> Q as value tuples, each
+                    # with the function reading its key off u's fibers
+                    maps = [[(wv, itemgetter(*wv) if wv else lambda fiber: ())
+                             for wv in _edge_respecting_values(xv, xp, Q.carrier, Q.rel)]
+                            for _, _, xv, xp in xs]
+                    for P, passed in preorders[np_]:
                         if (P, Q) not in monotone:
                             monotone[P, Q] = [tuple(u.values()) for u in monotone_maps(P, Q)]
+                        if (nx, ex) not in passed:
+                            passed[nx, ex] = [set() for _ in xs]
                         for uv in monotone[P, Q]:
-                            fiber = _fibers(P.carrier, uv)
-                            for X, LX, xv, xp in graphs[nx, ex]:
-                                if X not in maps:
-                                    ws = _edge_respecting_maps(xv, xp, Q.carrier, Q.rel)
-                                    maps[X] = [tuple(w.values()) for w in ws]
-                                seen = passed.setdefault(X, set())
-                                for wv in maps[X]:
+                            if (P.carrier, Q.carrier, uv) not in fibers:
+                                fibers[P.carrier, Q.carrier, uv] = (
+                                    dict.fromkeys(Q.carrier, ()) | _fibers(P.carrier, uv))
+                            fiber = fibers[P.carrier, Q.carrier, uv]
+                            for (X, LX, xv, xp), ws, seen in zip(xs, maps, passed[nx, ex]):
+                                for wv, key_of in ws:
                                     b_.charge()
                                     tested += 1
-                                    key = tuple([fiber.get(q, ()) for q in wv])
+                                    key = key_of(fiber)
                                     if key in seen:
                                         continue
                                     w = dict(zip(xv, wv))
@@ -655,7 +675,7 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
                                         _pullback_edges(xp, w, fiber, P.rel))
                                     if bad is not None:
                                         u = dict(zip(P.carrier, uv))
-                                        f, bad = _confirm_sle_hit(X, LX, P, FP, FQ, u, w, bad)
+                                        f, bad = _confirm_sle_hit(X, LX, P, Q, u, w, bad)
                                         return _sle_witness_verdict(X, P, Q, u, f, bad,
                                                                     tested, bounds)
                                     seen.add(key)
@@ -665,12 +685,13 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
     return Verdict("sle-failure-search", NOT_FOUND, bounds=bounds, stats={"squares": tested})
 
 
-def _confirm_sle_hit(X, LX, P, FP, FQ, u, w, bad):
+def _confirm_sle_hit(X, LX, P, Q, u, w, bad):
     """(f, failure data) for a square the relational test failed, re-tested
     through the generic presheaf pullback; raises FinitoposError if that
     finds no failure or different failure data."""
+    FQ = embed(Q)
     f = _graph_map(X.presheaf(), FQ, w)
-    confirmed = _sle_instance_fails(P, LX, embedded_map(u, FP, FQ), f)
+    confirmed = _sle_instance_fails(P, LX, embedded_map(u, embed(P), FQ), f)
     if confirmed != bad:
         raise FinitoposError(f"relational and presheaf pullbacks disagree on the square "
                              f"X={X}, P={P.carrier}, u={u}, f={w}")
