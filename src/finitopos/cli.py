@@ -53,19 +53,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, out=True):
-        sp.add_argument("--budget", type=_POSITIVE, default=None,
-                        help="enumeration step budget (default from FINITOPOS_BUDGET or 10^6)")
+    def common(sp, budget=True):
+        """--expect and --out, and --budget on the subcommands that spend one."""
+        if budget:
+            sp.add_argument("--budget", type=_POSITIVE, default=None,
+                            help="enumeration step budget (default from FINITOPOS_BUDGET "
+                                 "or 10^6)")
         sp.add_argument("--expect", choices=["pass", "fail", "found", "not-found"],
                         default=None, help="assert the outcome; mismatches exit 1")
-        if out:
-            sp.add_argument("--out", type=Path, default=None, help="write a JSON report here")
+        sp.add_argument("--out", type=Path, default=None, help="write a JSON report here")
 
     sp = sub.add_parser("validate", help="parse and validate DSL files or fixtures")
     sp.add_argument("files", nargs="*", type=Path)
     sp.add_argument("--fixture", action="append", default=[],
                     help="validate a built-in fixture by name (repeatable)")
-    common(sp)
+    common(sp, budget=False)
 
     sp = sub.add_parser("kan", help="restriction and Kan extensions")
     sp.add_argument("which", choices=["restrict", "lan", "ran"])
@@ -111,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("replay", help="re-verify a witness report from its own data")
     sp.add_argument("file", type=Path)
-    common(sp)
+    common(sp, budget=False)
 
     return p
 
@@ -295,6 +297,8 @@ def cmd_pi(args) -> int:
 
 def cmd_check(args) -> int:
     which = args.which
+    if args.budget is not None and which != "locally-connected":
+        raise _Usage(f"check {which} spends no budget; --budget is for locally-connected")
     if which == "lcc":
         C = fixtures.get_category(args.fixture)
         verdict = checks.check_lcc(C, args.bound)
@@ -313,7 +317,7 @@ def cmd_check(args) -> int:
     else:  # locally-connected
         verdict = checks.check_locally_connected(
             R.L, bound=args.bound if args.bound is not None else 200,
-            carrier_bound=args.carrier_bound)
+            carrier_bound=args.carrier_bound, budget=Budget(args.budget, which))
     bounds = {"fixture": args.fixture}
     if args.bound is not None:
         bounds["bound"] = args.bound

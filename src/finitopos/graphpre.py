@@ -18,9 +18,11 @@ whether an edge relation built from the preorders alone
 Pi_f g have at most one edge per pair of vertices.  The generic presheaf
 constructions stay the oracle: they re-test each instance a search reports
 as a FAIL, the witness is built from their data, and replay uses them.
-The exponential sweep and the SLE, Pi and sieve searches are each one
-function around one loop, which charges the budget once per candidate and
-is INCONCLUSIVE when it runs out.
+The exponential sweep and the SLE, Pi and sieve searches each hand one loop
+to one driver (`_search`): the loop charges the budget once per candidate
+and returns its first FAIL, and the driver counts the candidates and gives
+the verdict, INCONCLUSIVE when the budget runs out.  `_confirmed` raises
+where the presheaf path does not confirm a relational FAIL.
 """
 
 from __future__ import annotations
@@ -60,13 +62,18 @@ class RefGraph:
     edges: tuple  # sorted multiset of (src, tgt) vertex indices
 
     def __post_init__(self):
-        if self.edges != tuple(sorted(self.edges)):
-            raise InvalidStructure(["graph edges are not sorted"])
+        """Replay input is checked here: the count and each index must be an
+        int (a bool is not), the count non-negative, the indices in range."""
+        if type(self.n) is not int:
+            raise InvalidStructure([f"vertex count {self.n!r} is not an int"])
         bad = [f"vertex count {self.n} is negative"] if self.n < 0 else []
-        bad += [f"edge ({a}, {b}) leaves vertices 0..{self.n - 1}"
-                for (a, b) in self.edges if not (0 <= a < self.n and 0 <= b < self.n)]
+        bad += [f"edge ({a!r}, {b!r}) is not a pair of vertices 0..{self.n - 1}"
+                for (a, b) in self.edges
+                if not (type(a) is type(b) is int and 0 <= a < self.n and 0 <= b < self.n)]
         if bad:
             raise InvalidStructure(bad)
+        if self.edges != tuple(sorted(self.edges)):
+            raise InvalidStructure(["graph edges are not sorted"])
 
     @staticmethod
     def of(n: int, edges) -> "RefGraph":
@@ -414,6 +421,41 @@ def is_embedded_preorder(X: Presheaf):
 
 
 # ---------------------------------------------------------------------------
+# the search driver
+
+
+def _search(name: str, budget: Budget | int | None, bounds: dict, search,
+            count: str = "tested", exhausted: str = NOT_FOUND) -> Verdict:
+    """The verdict `name` of `search(b)`, which charges the budget b once per
+    candidate and returns None or the first FAIL's (witness, detail).
+    stats[count] counts the candidates by b's charges.  A budget that runs
+    out gives INCONCLUSIVE, with the budget among the bounds; a search that
+    returns None has covered its space, and the verdict is `exhausted`."""
+    b = ensure_budget(budget, name)
+    start = b.spent
+    try:
+        found = search(b)
+    except BudgetExceeded:
+        return Verdict(name, INCONCLUSIVE, bounds=dict(bounds, budget=b.limit),
+                       stats={count: b.limit - start},
+                       detail="budget exhausted before the space was covered")
+    stats = {count: b.spent - start}
+    if found is None:
+        return Verdict(name, exhausted, bounds=bounds, stats=stats)
+    witness, detail = found
+    return Verdict(name, FAIL, witness=witness, bounds=bounds, stats=stats, detail=detail)
+
+
+def _confirmed(found, what: str):
+    """`found`, the presheaf path's re-test of an instance whose relational
+    test failed.  If it is empty the two paths disagree on `what`, and this
+    raises rather than let a search report the FAIL."""
+    if not found:
+        raise FinitoposError(f"relational and presheaf paths disagree on {what}")
+    return found
+
+
+# ---------------------------------------------------------------------------
 # product preservation / exponential ideal (object level)
 
 
@@ -468,10 +510,8 @@ def product_reflection_agrees(G: RefGraph, H: RefGraph) -> tuple[bool, dict]:
     the presheaves, which name the relations; if they find none, raise."""
     if _product_rows_agree(G, H):
         return True, {}
-    info = _labelled_product_difference(G.presheaf(), H.presheaf())
-    if not info:
-        raise FinitoposError(f"bitset and labelled products disagree on G={G}, H={H}")
-    return False, info
+    return False, _confirmed(_labelled_product_difference(G.presheaf(), H.presheaf()),
+                             f"the product of G={G}, H={H}")
 
 
 def check_product_preservation(max_v: int = 3, max_e: int = 4,
@@ -549,34 +589,22 @@ def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 
     charges the budget once, so a budget bounds the whole sweep; the
     confirmation gets a budget of the same size.  Each graph's vertices and
     edge pairs are built once for the sweep."""
-    b_ = ensure_budget(budget, "check_exponential_ideal_graphs")
-    tested = 0
-    bounds = {"max_p": max_p, "max_v": max_v, "max_e": max_e}
-    graphs = [(G, list(PG.at["V"]), _edge_pairs(PG))
-              for G in enumerate_graphs(max_v, max_e) for PG in [G.presheaf()]]
-    try:
+    def search(b):
+        graphs = [(G, list(PG.at["V"]), _edge_pairs(PG))
+                  for G in enumerate_graphs(max_v, max_e) for PG in [G.presheaf()]]
         for P in enumerate_preorders(max_p):
             for G, verts, pairs in graphs:
-                b_.charge()
-                tested += 1
+                b.charge()
                 maps, edges = _exponential_relation(verts, pairs, P)
-                if _is_transitive(len(maps), edges):
-                    continue
-                why = _exponential_violation(G.presheaf(), embed(P), b_.sub("exponential"))
-                if why is None:
-                    raise FinitoposError(f"relational and presheaf exponentials disagree on "
-                                         f"P={P.carrier}, G={G}")
-                return Verdict("graph-exponential-ideal", FAIL,
-                               witness={"kind": "graph-exponential",
-                                        "P": P.to_json(), "G": G.to_json(),
-                                        "violation": why},
-                               bounds=bounds, stats={"tested": tested})
-    except BudgetExceeded:
-        return Verdict("graph-exponential-ideal", INCONCLUSIVE,
-                       bounds=dict(bounds, budget=b_.limit),
-                       stats={"tested": tested},
-                       detail=f"budget exhausted on P={P.carrier}, G={G}")
-    return Verdict("graph-exponential-ideal", PASS, bounds=bounds, stats={"tested": tested})
+                if not _is_transitive(len(maps), edges):
+                    why = _confirmed(
+                        _exponential_violation(G.presheaf(), embed(P), b.sub("exponential")),
+                        f"the exponential of P={P.carrier}, G={G}")
+                    return {"kind": "graph-exponential", "P": P.to_json(), "G": G.to_json(),
+                            "violation": why}, ""
+
+    return _search("graph-exponential-ideal", budget,
+                   {"max_p": max_p, "max_v": max_v, "max_e": max_e}, search, exhausted=PASS)
 
 
 # ---------------------------------------------------------------------------
@@ -628,15 +656,12 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
     key already passed is charged and counted but not tested again.  Each
     input is built on first use and kept for the search, except the vertex
     maps X -> Q, which are built for all X of a size within one Q."""
-    b_ = ensure_budget(budget, "find_sle_failure")
-    bounds = {"max_v": max_v, "max_e": max_e}
-    # per size: (P, per (nx, ex) the keys of P's squares over each X that passed)
-    preorders = [[(P, {}) for P in preorders_of_size(n)] for n in range(max_v + 1)]
-    graphs: dict = {}  # (nx, ex) -> [(X, LX, vertices, edge pairs)]
-    monotone: dict = {}  # (P, Q) -> the monotone maps P -> Q as value tuples
-    fibers: dict = {}  # (P's carrier, Q's carrier, u's value tuple) -> u's fibers over Q
-    tested = 0
-    try:
+    def search(b):
+        # per size: (P, per (nx, ex) the keys of P's squares over each X that passed)
+        preorders = [[(P, {}) for P in preorders_of_size(n)] for n in range(max_v + 1)]
+        graphs: dict = {}  # (nx, ex) -> [(X, LX, vertices, edge pairs)]
+        monotone: dict = {}  # (P, Q) -> the monotone maps P -> Q as value tuples
+        fibers: dict = {}  # (P's carrier, Q's carrier, u's value tuple) -> u's fibers over Q
         for total in range(3 * max_v + max_e + 1):
             for nq, np_, nx in itertools.product(range(max_v + 1), repeat=3):
                 ex = total - nq - np_ - nx
@@ -664,8 +689,7 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
                             fiber = fibers[P.carrier, Q.carrier, uv]
                             for (X, LX, xv, xp), ws, seen in zip(xs, maps, passed[nx, ex]):
                                 for wv, key_of in ws:
-                                    b_.charge()
-                                    tested += 1
+                                    b.charge()
                                     key = key_of(fiber)
                                     if key in seen:
                                         continue
@@ -676,13 +700,11 @@ def find_sle_failure(max_v: int = 4, max_e: int = 8,
                                     if bad is not None:
                                         u = dict(zip(P.carrier, uv))
                                         f, bad = _confirm_sle_hit(X, LX, P, Q, u, w, bad)
-                                        return _sle_witness_verdict(X, P, Q, u, f, bad,
-                                                                    tested, bounds)
+                                        return _sle_witness(X, P, Q, u, f, bad), ""
                                     seen.add(key)
-    except BudgetExceeded:
-        return Verdict("sle-failure-search", INCONCLUSIVE, bounds=dict(bounds, budget=b_.limit),
-                       detail="budget exhausted before the space was covered")
-    return Verdict("sle-failure-search", NOT_FOUND, bounds=bounds, stats={"squares": tested})
+
+    return _search("sle-failure-search", budget, {"max_v": max_v, "max_e": max_e}, search,
+                   count="squares")
 
 
 def _confirm_sle_hit(X, LX, P, Q, u, w, bad):
@@ -692,19 +714,17 @@ def _confirm_sle_hit(X, LX, P, Q, u, w, bad):
     FQ = embed(Q)
     f = _graph_map(X.presheaf(), FQ, w)
     confirmed = _sle_instance_fails(P, LX, embedded_map(u, embed(P), FQ), f)
-    if confirmed != bad:
-        raise FinitoposError(f"relational and presheaf pullbacks disagree on the square "
-                             f"X={X}, P={P.carrier}, u={u}, f={w}")
+    _confirmed(confirmed == bad, f"the square X={X}, P={P.carrier}, u={u}, f={w}")
     return f, confirmed
 
 
-def _sle_witness_verdict(X, P, Q, u, f, bad, tested, bounds) -> Verdict:
+def _sle_witness(X, P, Q, u, f, bad) -> dict:
     from .report import elem_to_json
 
     # the projections are jointly injective on carriers, so the identity is
     # the only candidate mediator from the true preorder pullback; it works
     # iff it is monotone, i.e. iff no relation is missing
-    w = square_witness(
+    return square_witness(
         {
             "kind": "graph-sle-square",
             "X": X.to_json(),
@@ -719,8 +739,6 @@ def _sle_witness_verdict(X, P, Q, u, f, bad, tested, bounds) -> Verdict:
         {"description": "the preorder pullback with its projections"},
         0 if bad["missing"] else 1,
     )
-    return Verdict("sle-failure-search", FAIL, witness=w, bounds=bounds,
-                   stats={"squares": tested})
 
 
 def replay_sle_square(w: dict) -> Verdict:
@@ -859,41 +877,26 @@ def find_pi_witness(max_n: int = 3, budget: Budget | int | None = None) -> Verdi
     (`_pi_violation`, which replay runs too), whose violation the witness
     names; if the two disagree the search raises.  Each instance charges
     the budget once; the confirmation gets a budget of the same size."""
-    b_ = ensure_budget(budget, "find_pi_witness")
-    tested = 0
-    try:
+    def search(b):
         for Y, X, f, Z, g in _pi_instances(max_n):
-            b_.charge()
-            tested += 1
+            b.charge()
             verts, edges = _pi_relation(Y, X, Z, f, g)
             if _is_transitive(len(verts), edges):
                 continue
-            why = _pi_violation(embed_map(f, X, Y), embed_map(g, Z, X),
-                                b_.sub("dependent_product"))
-            if why is None:
-                raise FinitoposError(f"relational and presheaf dependent products disagree "
-                                     f"on Y={Y.carrier}, X={X.carrier}, Z={Z.carrier}, "
-                                     f"f={f}, g={g}")
+            why = _confirmed(_pi_violation(embed_map(f, X, Y), embed_map(g, Z, X),
+                                           b.sub("dependent_product")),
+                             f"the dependent product on Y={Y.carrier}, X={X.carrier}, "
+                             f"Z={Z.carrier}, f={f}, g={g}")
             from .report import elem_to_json
-            return Verdict(
-                "pi-witness-search", FAIL,
-                witness={
-                    "kind": "graph-pi",
-                    "Y": Y.to_json(), "X": X.to_json(), "Z": Z.to_json(),
-                    "f": [[elem_to_json(a), elem_to_json(bv)] for a, bv in sorted(f.items())],
-                    "g": [[elem_to_json(a), elem_to_json(bv)] for a, bv in sorted(g.items())],
-                    "violation": why,
-                },
-                bounds={"max_n": max_n},
-                stats={"tested": tested},
-                detail="EVIDENCE: dependent products not inherited")
-    except BudgetExceeded:
-        return Verdict("pi-witness-search", INCONCLUSIVE,
-                       bounds={"max_n": max_n, "budget": b_.limit},
-                       stats={"tested": tested},
-                       detail="budget exhausted mid-search")
-    return Verdict("pi-witness-search", NOT_FOUND,
-                   bounds={"max_n": max_n}, stats={"tested": tested})
+            return {
+                "kind": "graph-pi",
+                "Y": Y.to_json(), "X": X.to_json(), "Z": Z.to_json(),
+                "f": [[elem_to_json(a), elem_to_json(bv)] for a, bv in sorted(f.items())],
+                "g": [[elem_to_json(a), elem_to_json(bv)] for a, bv in sorted(g.items())],
+                "violation": why,
+            }, "EVIDENCE: dependent products not inherited"
+
+    return _search("pi-witness-search", budget, {"max_n": max_n}, search)
 
 
 # ---------------------------------------------------------------------------
@@ -914,32 +917,23 @@ def find_sieve_witness(max_n: int = 3, max_v: int = 3, max_e: int = 4,
     in the sieve it generates but F(L u) does not.  Each graph's presheaf,
     vertices and edge pairs are built once per search, and F L B0 with
     Nat(F L B0, B0) once, at the first u out of B0."""
-    b_ = ensure_budget(budget, "find_sieve_witness")
-    bounds = {"max_n": max_n, "max_v": max_v, "max_e": max_e}
-    graphs = [(B0, PB, list(PB.at["V"]), _edge_pairs(PB))
-              for B0 in enumerate_graphs(max_v, max_e) for PB in [B0.presheaf()]]
-    reflected: dict = {}  # B0 -> (F L B0, Nat(F L B0, B0))
-    tested = 0
-    try:
+    def search(b):
+        graphs = [(B0, PB, list(PB.at["V"]), _edge_pairs(PB))
+                  for B0 in enumerate_graphs(max_v, max_e) for PB in [B0.presheaf()]]
+        reflected: dict = {}  # B0 -> (F L B0, Nat(F L B0, B0))
         for A0 in enumerate_preorders(max_n):
             FA = embed(A0)
             for B0, PB, verts, pairs in graphs:
                 for uv in _edge_respecting_maps(verts, pairs, FA.at["V"].elements, FA.at["E"]):
-                    b_.charge()
-                    tested += 1
+                    b.charge()
                     if B0 not in reflected:
                         FLB = embed(reflect(PB))
                         reflected[B0] = FLB, nat_transformations(FLB, PB)
                     if not _sieve_factors(_graph_map(PB, FA, uv), *reflected[B0]):
                         from .report import elem_to_json
-                        return Verdict("sieve-witness-search", FAIL,
-                                       witness={"kind": "graph-sieve",
-                                                "A0": A0.to_json(), "B0": B0.to_json(),
-                                                "u": {k: elem_to_json(val)
-                                                      for k, val in sorted(uv.items())}},
-                                       bounds=bounds, stats={"tested": tested},
-                                       detail="u in its sieve, F(Lu) not")
-    except BudgetExceeded:
-        return Verdict("sieve-witness-search", INCONCLUSIVE, bounds=dict(bounds, budget=b_.limit),
-                       detail="budget exhausted before the space was covered")
-    return Verdict("sieve-witness-search", NOT_FOUND, bounds=bounds, stats={"tested": tested})
+                        u = {k: elem_to_json(val) for k, val in sorted(uv.items())}
+                        return ({"kind": "graph-sieve", "A0": A0.to_json(), "B0": B0.to_json(),
+                                 "u": u}, "u in its sieve, F(Lu) not")
+
+    return _search("sieve-witness-search", budget,
+                   {"max_n": max_n, "max_v": max_v, "max_e": max_e}, search)

@@ -181,6 +181,22 @@ def test_pi_search_budget_exhaustion_writes_an_inconclusive_report(tmp_path, cap
     assert rep["corpus_stats"] == {"tested": 40}
 
 
+def test_check_locally_connected_spends_its_budget(capsys):
+    assert main(["check", "locally-connected", "--fixture", "lattice-3-2"]) == EXIT_OK
+    assert main(["check", "locally-connected", "--fixture", "lattice-3-2",
+                 "--budget", "1"]) == EXIT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--fixture", "chain-2", "--budget", "1"],
+    ["replay", "report.json", "--budget", "1"],
+    ["check", "sle", "--fixture", "lattice-3-2", "--budget", "1"],
+])
+def test_budget_on_a_command_that_spends_none_is_usage_error(argv, capsys):
+    assert main(argv) == EXIT_USAGE
+    assert "--budget" in capsys.readouterr().err
+
+
 def test_main_calls_share_one_parser_but_not_arguments(tmp_path, capsys):
     from finitopos.cli import build_parser
     assert build_parser() is build_parser()
@@ -295,6 +311,24 @@ BAD_DATA_WITNESSES = {
 def test_replay_rejects_witness_built_from_bad_data(tmp_path, capsys, kind):
     p = _report_file(tmp_path, "bad.json", BAD_DATA_WITNESSES[kind])
     assert main(["replay", str(p)]) == EXIT_USAGE
+    assert "PASS" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": True, "edges": [[0, 0]]},
+    {"n": 2, "edges": [[True, 1]]},
+    {"n": 2.5, "edges": []},
+    {"n": "2", "edges": []},
+    {"n": 2, "edges": [[0.0, 1]]},
+])
+def test_replay_rejects_a_graph_count_or_index_that_is_not_an_int(tmp_path, capsys, graph):
+    from finitopos import checks
+    from finitopos.errors import InvalidStructure
+    w = {"kind": "graph-product", "G": graph, "H": {"n": 1, "edges": []},
+         "only_left": [], "only_right": []}
+    with pytest.raises(InvalidStructure, match="not an int|not a pair"):
+        checks.reverify(w)
+    assert main(["replay", str(_report_file(tmp_path, "g.json", w))]) == EXIT_USAGE
     assert "PASS" not in capsys.readouterr().out
 
 

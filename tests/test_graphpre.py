@@ -1,8 +1,10 @@
 """Reflexive graphs vs preorders: enumeration, reflection, and the witness
-searches.  Oracles: brute-force edge-multiset enumeration with canonical-form
-dedup, and direct count comparisons against the generic presheaf machinery."""
+searches.  Oracles: Burnside counts of edge multisets, preorder enumeration
+with canonical-form dedup and OEIS A001930, and direct count comparisons
+against the generic presheaf machinery."""
 
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,19 +65,39 @@ from finitopos.verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS
 # enumeration against brute-force oracles
 
 
-def _graph_count_oracle(n, e):
-    """All edge multisets, deduped by canonical form."""
-    pairs = list(itertools.product(range(n), repeat=2))
-    seen = set()
-    for combo in itertools.combinations_with_replacement(pairs, e):
-        seen.add(RefGraph.of(n, list(combo)).canonical().edges)
-    return len(seen)
+def _graph_count_burnside(n, e):
+    """Iso classes of e-edge multisets on n vertices, by Burnside's lemma:
+    the average over relabelings s of the multisets s fixes.  s permutes
+    the n * n vertex pairs in cycles, and a multiset it fixes takes one
+    multiplicity per cycle, so s fixes as many multisets as there are ways
+    to write e as a sum of its cycles' lengths, each any number of times."""
+    fixed = 0
+    for perm in itertools.permutations(range(n)):
+        ways, seen = [1] + [0] * e, set()
+        for pair in itertools.product(range(n), repeat=2):
+            if pair in seen:
+                continue
+            length = 0
+            while pair not in seen:
+                seen.add(pair)
+                length += 1
+                pair = (perm[pair[0]], perm[pair[1]])
+            for k in range(length, e + 1):
+                ways[k] += ways[k - length]
+        fixed += ways[e]
+    classes, rest = divmod(fixed, math.factorial(n))
+    assert rest == 0
+    return classes
 
 
 @pytest.mark.parametrize("n,e", [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2),
-                                 (3, 0), (3, 1), (3, 2)])
+                                 (3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (4, 4)])
 def test_graph_enumeration_matches_bruteforce(n, e):
-    assert len(list(graphs_of_size(n, e))) == _graph_count_oracle(n, e)
+    assert len(list(graphs_of_size(n, e))) == _graph_count_burnside(n, e)
+
+
+def test_burnside_count_of_four_vertex_graphs():
+    assert _graph_count_burnside(4, 4) == 198
 
 
 def test_graph_counts_three_vertices():
@@ -107,9 +129,9 @@ def _preorder_count_oracle(n):
 
 
 def test_preorder_counts():
-    # [DERIVED] iso classes of preorders on 0..3 elements
-    assert [len(list(preorders_of_size(n))) for n in range(4)] == [1, 1, 3, 9]
-    for n in range(4):
+    # iso classes of preorders on 0..4 elements (OEIS A001930)
+    assert [len(list(preorders_of_size(n))) for n in range(5)] == [1, 1, 3, 9, 33]
+    for n in range(5):
         assert len(list(preorders_of_size(n))) == _preorder_count_oracle(n)
 
 
@@ -664,6 +686,26 @@ def test_sle_search_charges_the_budget_once_per_square(budget, outcome):
     """Squares whose key the memo holds are charged too: the (3, 2) search
     reaches its witness at square 13 251 and needs exactly that budget."""
     assert find_sle_failure(max_v=3, max_e=2, budget=budget).outcome == outcome
+
+
+@pytest.mark.parametrize("search, kwargs, needed, count", [
+    (find_sle_failure, {"max_v": 3, "max_e": 2}, 13251, "squares"),
+    (graphpre.find_sieve_witness, {}, 1743, "tested"),
+    (graphpre.find_pi_witness, {"max_n": 2}, 279, "tested"),
+    (check_exponential_ideal_graphs, {"max_p": 2, "max_v": 3, "max_e": 2}, 130, "tested"),
+], ids=["sle", "sieve", "pi", "exponential"])
+def test_search_driver_verdicts_on_a_short_and_an_exact_budget(search, kwargs, needed, count):
+    """Each search needs one charge per candidate up to its first FAIL, or
+    over its whole space.  A budget one short is INCONCLUSIVE in the same
+    shape for all four; exactly the needed budget gives the unbudgeted
+    verdict."""
+    full = search(**kwargs)
+    assert full.stats == {count: needed}
+    short = search(**kwargs, budget=needed - 1)
+    assert (short.outcome, short.bounds, short.stats, short.witness, short.detail) == (
+        INCONCLUSIVE, dict(full.bounds, budget=needed - 1), {count: needed - 1}, None,
+        "budget exhausted before the space was covered")
+    assert search(**kwargs, budget=needed) == full
 
 
 def test_sle_search_builds_each_input_once(monkeypatch):
