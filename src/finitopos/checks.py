@@ -19,7 +19,7 @@ import itertools
 
 from . import graphpre
 from .budget import Budget, ensure_budget
-from .errors import NonUnique, ShapeMismatch
+from .errors import BudgetExceeded, NonUnique, ShapeMismatch
 from .fincat import (
     FinCategory,
     FinFunctor,
@@ -40,7 +40,8 @@ from .report import (
     reflection_from_json,
     reflection_to_json,
 )
-from .verdicts import FAIL, INCONCLUSIVE, PASS, Verdict, mediator_analysis, replay_refuted, square_witness
+from .verdicts import (FAIL, INCONCLUSIVE, PASS, Verdict, budget_exhausted, mediator_analysis,
+                       replay_refuted, square_witness)
 
 # ---------------------------------------------------------------------------
 # helpers
@@ -280,103 +281,84 @@ PI_SPOT_CHECKS = 3
 
 def check_locally_connected(L: FinFunctor, bound: int = 200, carrier_bound: int = 1,
                             budget: Budget | int | None = None) -> Verdict:
-    """Diagram-(1) preservation for L! -| L* over a deterministic presheaf
-    corpus, plus dependent-product spot checks for L* itself."""
+    """Diagram-(1) preservation for L! -| L* over the first `bound` squares
+    of a deterministic presheaf corpus, plus PI_SPOT_CHECKS dependent-product
+    spot checks for L* itself, each enumerated lazily.  A budget that runs
+    out gives the INCONCLUSIVE verdict of the graph searches."""
     from . import kan
-    from .presheaf import (
-        dependent_product,
-        nat_transformations,
-        presheaf_corpus,
-        pullback_presheaf,
-    )
+    from .presheaf import dependent_product, nat_transformations, presheaf_corpus, pullback_presheaf
 
     b_ = ensure_budget(budget, "check_locally_connected")
+    start = b_.spent
     A, B = L.target, L.source
     corp_a = presheaf_corpus(A, carrier_bound)
     corp_b = presheaf_corpus(B, carrier_bound)
-    tested = 0
 
-    for I in corp_a:
-        for J in corp_a:
-            for u in nat_transformations(J, I, b_):
-                lu = kan.restrict_map(L, u)
-                ri = kan.restrict(L, I)
-                for Apre in corp_b:
-                    for amap in nat_transformations(Apre, ri, b_):
-                        if tested >= bound:
-                            break
-                        tested += 1
-                        Bpre, b1, b2 = pullback_presheaf(amap, lu)
-                        rB = kan.lan(L, Bpre, b_)
-                        rA = kan.lan(L, Apre, b_)
-                        lf = kan.lan_map(L, rB, rA, b1)
-                        b_hat = kan.lan_transpose(rB, J, b2)
-                        a_hat = kan.lan_transpose(rA, I, amap)
-                        # commutes by construction; test pointwise pullback-ness
-                        for obj in A.objects:
-                            pb_elems = {
-                                (j, la)
-                                for j in J.at[obj] for la in rA.output.at[obj]
-                                if u.components[obj](j) == a_hat.components[obj](la)
-                            }
-                            image = [
-                                (b_hat.components[obj](x), lf.components[obj](x))
-                                for x in rB.output.at[obj]
-                            ]
-                            if len(set(image)) != len(image) or set(image) != pb_elems:
-                                w = square_witness(
-                                    {"kind": "presheaf-square",
-                                     "u": presheaf_map_to_json(u),
-                                     "a": presheaf_map_to_json(amap)},
-                                    "g",
-                                    {"object": obj,
-                                     "comparison_image": sorted(map(repr, image)),
-                                     "pullback": sorted(map(repr, pb_elems))},
-                                    {"object": obj}, 0 if set(image) != pb_elems else 2)
-                                return Verdict("locally-connected", FAIL, witness=w,
-                                               bounds={"squares": tested,
-                                                       "carrier": carrier_bound},
-                                               stats={"squares": tested})
+    def squares():
+        for I in corp_a:
+            for J in corp_a:
+                for u in nat_transformations(J, I, b_):
+                    lu = kan.restrict_map(L, u)
+                    ri = kan.restrict(L, I)
+                    for Apre in corp_b:
+                        for amap in nat_transformations(Apre, ri, b_):
+                            yield I, J, u, lu, Apre, amap
 
-    pi_tested = 0
-    for Y in corp_a:
-        if pi_tested >= PI_SPOT_CHECKS:
-            break
-        for X in corp_a:
-            if pi_tested >= PI_SPOT_CHECKS:
-                break
-            for f in nat_transformations(X, Y, b_):
-                if pi_tested >= PI_SPOT_CHECKS:
-                    break
-                for Z in corp_a:
-                    for g in nat_transformations(Z, X, b_)[:1]:
-                        if pi_tested >= PI_SPOT_CHECKS:
-                            break
-                        pi_tested += 1
-                        up = dependent_product(f, g, b_)
-                        down = dependent_product(
-                            kan.restrict_map(L, f), kan.restrict_map(L, g), b_)
-                        r_up_dom = kan.restrict(L, up.source)
-                        r_up = kan.restrict_map(L, up)
-                        isos = [
-                            h for h in nat_transformations(r_up_dom, down.source, b_)
-                            if h.is_pointwise_bijection()
-                            and h.then(down).encoding() == r_up.encoding()
-                        ]
-                        if not isos:
-                            w = square_witness({"kind": "pi-comparison",
-                                                "f": presheaf_map_to_json(f),
-                                                "g": presheaf_map_to_json(g)},
-                                               "n/a", {}, {}, 0)
-                            return Verdict("locally-connected", FAIL, witness=w,
-                                           bounds={"squares": tested,
-                                                   "pi_checks": pi_tested,
-                                                   "carrier": carrier_bound},
-                                           stats={"squares": tested,
-                                                  "pi_checks": pi_tested})
+    def pi_cases():
+        for Y in corp_a:
+            for X in corp_a:
+                for f in nat_transformations(X, Y, b_):
+                    for Z in corp_a:
+                        for g in nat_transformations(Z, X, b_)[:1]:
+                            yield f, g
+
+    try:
+        tested = 0
+        for I, J, u, lu, Apre, amap in itertools.islice(squares(), bound):
+            tested += 1
+            Bpre, b1, b2 = pullback_presheaf(amap, lu)
+            rB = kan.lan(L, Bpre, b_)
+            rA = kan.lan(L, Apre, b_)
+            lf = kan.lan_map(L, rB, rA, b1)
+            b_hat = kan.lan_transpose(rB, J, b2)
+            a_hat = kan.lan_transpose(rA, I, amap)
+            # commutes by construction; test pointwise pullback-ness
+            for obj in A.objects:
+                pb_elems = {(j, la) for j in J.at[obj] for la in rA.output.at[obj]
+                            if u.components[obj](j) == a_hat.components[obj](la)}
+                image = [(b_hat.components[obj](x), lf.components[obj](x))
+                         for x in rB.output.at[obj]]
+                if len(set(image)) != len(image) or set(image) != pb_elems:
+                    w = square_witness(
+                        {"kind": "presheaf-square", "u": presheaf_map_to_json(u),
+                         "a": presheaf_map_to_json(amap)},
+                        "g", {"object": obj, "comparison_image": sorted(map(repr, image)),
+                              "pullback": sorted(map(repr, pb_elems))},
+                        {"object": obj}, 0 if set(image) != pb_elems else 2)
+                    return Verdict("locally-connected", FAIL, witness=w,
+                                   bounds={"squares": tested, "carrier": carrier_bound},
+                                   stats={"squares": tested})
+        pi_tested = 0
+        for f, g in itertools.islice(pi_cases(), PI_SPOT_CHECKS):
+            pi_tested += 1
+            up = dependent_product(f, g, b_)
+            down = dependent_product(kan.restrict_map(L, f), kan.restrict_map(L, g), b_)
+            r_up_dom = kan.restrict(L, up.source)
+            r_up = kan.restrict_map(L, up)
+            isos = [h for h in nat_transformations(r_up_dom, down.source, b_)
+                    if h.is_pointwise_bijection() and h.then(down).encoding() == r_up.encoding()]
+            if not isos:
+                w = square_witness({"kind": "pi-comparison", "f": presheaf_map_to_json(f),
+                                    "g": presheaf_map_to_json(g)}, "n/a", {}, {}, 0)
+                return Verdict("locally-connected", FAIL, witness=w,
+                               bounds={"squares": tested, "pi_checks": pi_tested,
+                                       "carrier": carrier_bound},
+                               stats={"squares": tested, "pi_checks": pi_tested})
+    except BudgetExceeded:
+        return budget_exhausted("locally-connected", {"squares": bound, "carrier": carrier_bound},
+                                b_.limit, b_.limit - start, "steps")
     return Verdict("locally-connected", PASS,
-                   bounds={"squares": tested, "pi_checks": pi_tested,
-                           "carrier": carrier_bound},
+                   bounds={"squares": tested, "pi_checks": pi_tested, "carrier": carrier_bound},
                    stats={"squares": tested, "pi_checks": pi_tested})
 
 

@@ -5,24 +5,25 @@ finite products and is an exponential ideal but is not semi-left-exact.
 A reflexive graph here is (n, edges): n vertices v0..v{n-1}, one distinguished
 loop per vertex, plus a multiset of extra directed edges (parallel edges and
 extra loops allowed).  A preorder embeds as the graph with exactly one edge
-per related pair, the distinguished loops being the reflexivity edges.
+per related pair, the distinguished loops being the reflexivity edges.  The
+graphs of a size are listed by orbit-marking (`graphs_of_size`).
 
-The reflection L reads only a graph's vertices and its edge relation, so the
-two sweeps and the SLE and Pi searches test each candidate on relations,
-with no presheaf.  The SLE search tests a square on the vertices and edge pairs of its pullback
-(`_pullback_vertices`, `_pullback_edges`), and each distinct pullback once;
-the product sweep tests each pair on successor bitsets
-(`_product_rows_agree`); the exponential sweep and the Pi search test
-whether an edge relation built from the preorders alone
-(`_exponential_relation`, `_pi_relation`) is transitive, since (F P)^G and
-Pi_f g have at most one edge per pair of vertices.  The generic presheaf
-constructions stay the oracle: they re-test each instance a search reports
-as a FAIL, the witness is built from their data, and replay uses them.
-The exponential sweep and the SLE, Pi and sieve searches each hand one loop
-to one driver (`_search`): the loop charges the budget once per candidate
-and returns its first FAIL, and the driver counts the candidates and gives
-the verdict, INCONCLUSIVE when the budget runs out.  `_confirmed` raises
-where the presheaf path does not confirm a relational FAIL.
+L reads only a graph's vertices and its edge relation, so the two sweeps and
+the SLE and Pi searches test each candidate on relations, with no presheaf.
+The SLE search tests a square on its pullback's vertices and edge pairs
+(`_pullback_vertices`, `_pullback_edges`), each distinct pullback once; the
+product sweep tests a pair on successor bitsets (`_product_rows_agree`),
+from each graph's rows built once per width (`_graph_and_reflection`); the
+exponential sweep and the Pi search test whether an edge relation built
+from the preorders alone (`_exponential_relation`, `_pi_relation`) is
+transitive, since (F P)^G and Pi_f g have at most one edge per pair of
+vertices.  The generic presheaf constructions stay the oracle: they re-test
+each instance a search reports as a FAIL, the witness is built from their
+data, and replay uses them.  The exponential sweep and the SLE, Pi and sieve
+searches each hand one loop to one driver (`_search`): the loop charges the
+budget once per candidate and returns its first FAIL, and the driver counts
+the candidates and gives the verdict, INCONCLUSIVE when the budget runs out.
+`_confirmed` raises where the presheaf path does not confirm a relational FAIL.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .presheaf import (
     nat_transformations,
     pullback_presheaf,
 )
-from .verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS, Verdict, replay_refuted, square_witness
+from .verdicts import FAIL, NOT_FOUND, PASS, Verdict, budget_exhausted, replay_refuted, square_witness
 
 
 @lru_cache(maxsize=1)
@@ -87,9 +88,6 @@ class RefGraph:
                 best = relab
         return RefGraph(self.n, best if best is not None else ())
 
-    def is_canonical(self) -> bool:
-        return self == self.canonical()
-
     def presheaf(self) -> Presheaf:
         C = base()
         verts = [f"v{i}" for i in range(self.n)]
@@ -117,16 +115,36 @@ class RefGraph:
 
     @staticmethod
     def from_json(j: dict) -> "RefGraph":
-        return RefGraph.of(j["n"], [tuple(e) for e in j["edges"]])
+        """Replay input: each edge is checked to be a pair of ints before `of` sorts them."""
+        edges = j["edges"]
+        bad = [f"edge {e!r} is not a pair of int vertices"
+               for e in (edges if isinstance(edges, list) else [edges])
+               if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is type(e[1]) is int)]
+        if bad:
+            raise InvalidStructure(bad)
+        return RefGraph.of(j["n"], edges)
 
 
 def graphs_of_size(n: int, e: int):
-    """Canonical representatives with exactly n vertices and e extra edges."""
+    """Canonical representatives with exactly n vertices and e extra edges,
+    by orbit-marking: the edge multisets are walked in increasing order, so
+    the first of a relabeling orbit met is its least; it is yielded and the
+    rest of its orbit marked, each mark dropped when the walk reaches it.  A
+    multiset's key is one integer, the count of pair i in bits i * width up."""
     pairs = [(a, b) for a in range(n) for b in range(n)]
-    for combo in itertools.combinations_with_replacement(pairs, e):
-        g = RefGraph.of(n, combo)
-        if g.is_canonical():
-            yield g
+    width = e.bit_length()
+    # per relabeling (the identity first), each pair index's bit in the key
+    bits = [[1 << width * (p[a] * n + p[b]) for a, b in pairs]
+            for p in itertools.permutations(range(n))]
+    marked: set = set()
+    for combo in itertools.combinations_with_replacement(range(len(pairs)), e):
+        key = sum(bits[0][i] for i in combo)
+        if key in marked:
+            marked.remove(key)
+            continue
+        marked.update(sum(b[i] for i in combo) for b in bits[1:])
+        marked.discard(key)
+        yield RefGraph(n, tuple(pairs[i] for i in combo))
 
 
 def enumerate_graphs(max_v: int, max_e: int):
@@ -357,18 +375,20 @@ def _edge_respecting_values(verts, pairs, targets, related) -> list:
             if all((values[i], values[j]) in related for i, j in checks)]
 
 
-def _successor_rows(n: int, pairs) -> list:
-    """`pairs` on 0..n-1 as one successor bitset per index."""
+def _successor_rows(n: int, pairs, width: int = 1) -> list:
+    """`pairs` on 0..n-1 as one successor bitset per index, index j at bit
+    j * width."""
     succ = [0] * n
     for i, j in pairs:
-        succ[i] |= 1 << j
+        succ[i] |= 1 << j * width
     return succ
 
 
-def _transitive_rows(rows: list) -> list:
-    """Transitive closure of successor bitsets, in place (Warshall)."""
+def _transitive_rows(rows: list, width: int = 1) -> list:
+    """Transitive closure of successor bitsets with index k at bit k * width,
+    in place (Warshall)."""
     for k in range(len(rows)):
-        bit, rk = 1 << k, rows[k]
+        bit, rk = 1 << k * width, rows[k]
         for i, r in enumerate(rows):
             if r & bit:
                 rows[i] = r | rk
@@ -436,9 +456,7 @@ def _search(name: str, budget: Budget | int | None, bounds: dict, search,
     try:
         found = search(b)
     except BudgetExceeded:
-        return Verdict(name, INCONCLUSIVE, bounds=dict(bounds, budget=b.limit),
-                       stats={count: b.limit - start},
-                       detail="budget exhausted before the space was covered")
+        return budget_exhausted(name, bounds, b.limit, b.limit - start, count)
     stats = {count: b.spent - start}
     if found is None:
         return Verdict(name, exhausted, bounds=bounds, stats=stats)
@@ -460,31 +478,23 @@ def _confirmed(found, what: str):
 
 
 @lru_cache(maxsize=1024)
-def _graph_and_reflection(G: RefGraph) -> tuple[int, tuple, tuple]:
-    """(n, index pairs, LG rows) of G, once per graph: the distinguished
-    loops and the extra edges, each once, and their closure as successor
-    bitsets.  The name is from when the value was (presheaf, L G); it stays
-    because certbench clears this cache and reads its statistics."""
-    pairs = tuple(dict.fromkeys([(i, i) for i in range(G.n)] + list(G.edges)))
-    return G.n, pairs, tuple(_transitive_rows(_successor_rows(G.n, pairs)))
-
-
-def _spreads(rows, m: int) -> list:
-    """Each row with its bit t moved to bit t * m.  Multiplied by a bitset
-    b < 2**m, that is the Kronecker product of the row and b: no carries."""
-    n = len(rows)
-    return [sum(1 << t * m for t in range(n) if r >> t & 1) for r in rows]
+def _graph_and_reflection(G: RefGraph, width: int = 1) -> tuple[tuple, tuple]:
+    """(edge rows, LG rows) of G: its loops and extra edges as successor
+    bitsets and their closure, with vertex t at bit t * width.  The product
+    sweep reads G at width 1 and at the vertex count of each graph paired
+    with it; it passes width 1 too, as (G,) is another key."""
+    edges = _successor_rows(G.n, [(i, i) for i in range(G.n)] + list(G.edges), width)
+    return tuple(edges), tuple(_transitive_rows(edges[:], width))
 
 
 def _product_rows_agree(G: RefGraph, H: RefGraph) -> bool:
-    """L(G x H) = LG x LH on bitsets.  Vertex (i, j) is i * m + j, with
-    edges (s * m + a, t * m + b) for index pairs (s, t) of G and (a, b) of
-    H; closed, row (i, j) must be the Kronecker product of LG i and LH j."""
-    n, gpairs, lg = _graph_and_reflection(G)
-    m, hpairs, lh = _graph_and_reflection(H)
-    hsucc = _successor_rows(m, hpairs)
-    edges = [s * h for s in _spreads(_successor_rows(n, gpairs), m) for h in hsucc]
-    return _transitive_rows(edges) == [s * h for s in _spreads(lg, m) for h in lh]
+    """L(G x H) = LG x LH on bitsets.  Vertex (i, j) is i * m + j for m = H.n.
+    A row of G at width m times a bitset b < 2**m is their Kronecker product,
+    with no carries, so the product's edge rows are G's rows at width m times
+    H's rows.  Closed, row (i, j) must be the Kronecker product of LG i and LH j."""
+    gedges, lg = _graph_and_reflection(G, H.n)
+    hedges, lh = _graph_and_reflection(H, 1)
+    return _transitive_rows([s * h for s in gedges for h in hedges]) == [s * h for s in lg for h in lh]
 
 
 def _labelled_product_difference(PG: Presheaf, PH: Presheaf) -> dict:
@@ -519,8 +529,8 @@ def check_product_preservation(max_v: int = 3, max_e: int = 4,
                                seed: int = 20210521) -> Verdict:
     """Exhaustive over canonical graph pairs within bounds, plus optional
     deterministic pseudo-random pairs at a larger vertex bound.  Each pair
-    is decided on bitsets, from per-graph data built once (see
-    product_reflection_agrees); a FAIL witness names G, H and the relations
+    is decided on bitsets, from each graph's rows built once per width (see
+    `_graph_and_reflection`); a FAIL witness names G, H and the relations
     found only in L(G x H) (`only_left`) or only in LG x LH (`only_right`)."""
     import random as _random
 

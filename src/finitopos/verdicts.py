@@ -47,6 +47,13 @@ class Verdict:
         }
 
 
+def budget_exhausted(name: str, bounds: dict, limit: int, spent: int, count: str) -> Verdict:
+    """The INCONCLUSIVE verdict of a search whose budget of `limit` ran out
+    after `spent` charges, counted as stats[count]; the limit joins the bounds."""
+    return Verdict(name, INCONCLUSIVE, bounds=dict(bounds, budget=limit), stats={count: spent},
+                   detail="budget exhausted before the space was covered")
+
+
 def mediator_analysis(cone, count: int) -> dict:
     """Why a candidate square is not a pullback: a test cone with `count`
     mediators, 0 or at least 2."""

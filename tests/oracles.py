@@ -4,14 +4,17 @@ Each is written apart from the program's own path to the same result:
 `limit_by_product` filters the whole cartesian product instead of
 searching, `nat_by_limit` takes the limit of the target over the opposite
 of the built category of elements, `presheaf_iso` scans every natural
-transformation for a pointwise bijection, and `ran_transpose` builds the
-adjunct across L* -| L_* family by family.
+transformation for a pointwise bijection, `ran_transpose` builds the
+adjunct across L* -| L_* family by family, `graphs_by_canonical_filter`
+keeps each edge multiset that is the least of its relabelings, and
+`spreads` moves a bitset's bits apart one by one.
 """
 
 import itertools
 
 from finitopos.fincat import opposite
 from finitopos.finset import FinFn, FinSet, SetDiagram, canon_key, limit
+from finitopos.graphpre import RefGraph
 from finitopos.kan import KanResult, restrict
 from finitopos.presheaf import (
     Presheaf,
@@ -82,3 +85,25 @@ def ran_transpose(rx: KanResult, V: Presheaf, m: PresheafMap) -> PresheafMap:
             table[v] = PresheafMap(P, rx.input, fam_comps).encoding()
         comps[a] = FinFn.of(V.at[a], rx.output.at[a], table)
     return PresheafMap(V, rx.output, comps)
+
+
+def graphs_by_canonical_filter(n: int, e: int) -> list:
+    """The graphs with n vertices and e extra edges, one per isomorphism
+    class: every edge multiset in increasing order, kept iff it equals its
+    canonical form, the least of its n! relabelings."""
+    pairs = [(a, b) for a in range(n) for b in range(n)]
+    return [G for combo in itertools.combinations_with_replacement(pairs, e)
+            for G in [RefGraph.of(n, combo)] if G == G.canonical()]
+
+
+def spreads(rows, m: int) -> list:
+    """Each row with its bit t moved to bit t * m, bit by bit (at m = 0 all
+    set bits land on bit 0)."""
+    out = []
+    for r in rows:
+        spread = 0
+        for t in range(r.bit_length()):
+            if r >> t & 1:
+                spread |= 1 << t * m
+        out.append(spread)
+    return out

@@ -187,6 +187,19 @@ def test_check_locally_connected_spends_its_budget(capsys):
                  "--budget", "1"]) == EXIT_INCONCLUSIVE
 
 
+def test_check_locally_connected_out_of_budget_writes_its_report(tmp_path, capsys):
+    """A budget that runs out gives the graph searches' INCONCLUSIVE verdict,
+    and the report is written before the command exits 3."""
+    out = tmp_path / "r.json"
+    assert main(["check", "locally-connected", "--fixture", "lattice-3-2",
+                 "--budget", "1", "--out", str(out)]) == EXIT_INCONCLUSIVE
+    verdict = json.loads(out.read_text())["verdict"]
+    assert verdict["outcome"] == "INCONCLUSIVE"
+    assert verdict["bounds"] == {"squares": 200, "carrier": 1, "budget": 1}
+    assert verdict["stats"] == {"steps": 1}
+    assert verdict["detail"] == "budget exhausted before the space was covered"
+
+
 @pytest.mark.parametrize("argv", [
     ["validate", "--fixture", "chain-2", "--budget", "1"],
     ["replay", "report.json", "--budget", "1"],
@@ -320,6 +333,9 @@ def test_replay_rejects_witness_built_from_bad_data(tmp_path, capsys, kind):
     {"n": 2.5, "edges": []},
     {"n": "2", "edges": []},
     {"n": 2, "edges": [[0.0, 1]]},
+    {"n": 2, "edges": [[0, 1], ["a", 0]]},
+    {"n": 2, "edges": [[0, 1, 1]]},
+    {"n": 2, "edges": 5},
 ])
 def test_replay_rejects_a_graph_count_or_index_that_is_not_an_int(tmp_path, capsys, graph):
     from finitopos import checks

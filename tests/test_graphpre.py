@@ -59,6 +59,7 @@ from finitopos.graphpre import (
     vertex_maps_to_embedded,
 )
 from finitopos.verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS
+from oracles import graphs_by_canonical_filter, spreads
 
 
 # ---------------------------------------------------------------------------
@@ -91,13 +92,24 @@ def _graph_count_burnside(n, e):
 
 
 @pytest.mark.parametrize("n,e", [(1, 0), (1, 2), (2, 0), (2, 1), (2, 2),
-                                 (3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (4, 4)])
+                                 (3, 0), (3, 1), (3, 2), (3, 3), (3, 4), (4, 4),
+                                 (4, 6), (5, 4)])
 def test_graph_enumeration_matches_bruteforce(n, e):
     assert len(list(graphs_of_size(n, e))) == _graph_count_burnside(n, e)
 
 
 def test_burnside_count_of_four_vertex_graphs():
     assert _graph_count_burnside(4, 4) == 198
+    assert _graph_count_burnside(4, 6) == 2423
+    assert _graph_count_burnside(5, 4) == 269
+
+
+@pytest.mark.parametrize("n,e", [(n, e) for n in (3, 4) for e in range(5)]
+                         + [(5, e) for e in range(4)])
+def test_orbit_marking_lists_the_canonical_filter_in_order(n, e):
+    """Orbit-marking yields the graphs that keeping each edge multiset equal
+    to its canonical form yields, in the same order."""
+    assert list(graphs_of_size(n, e)) == graphs_by_canonical_filter(n, e)
 
 
 def test_graph_counts_three_vertices():
@@ -108,7 +120,7 @@ def test_graph_counts_three_vertices():
 def test_enumerated_graphs_are_canonical_and_distinct():
     seen = set()
     for G in enumerate_graphs(3, 3):
-        assert G.is_canonical()
+        assert G == G.canonical()
         key = (G.n, G.edges)
         assert key not in seen
         seen.add(key)
@@ -288,24 +300,49 @@ def test_product_sweep_same_with_cold_and_warm_cache():
     warm = check_product_preservation(max_v=2, max_e=3, random_pairs=20)
     assert (warm.outcome, warm.stats, warm.bounds, warm.witness) == \
         (cold.outcome, cold.stats, cold.bounds, cold.witness)
-    # the warm sweep rebuilds no graph's index pairs or LG rows
+    # the warm sweep rebuilds no graph's edge rows or LG rows
     assert _graph_and_reflection.cache_info().misses == misses
     # the shared cached values still equal freshly computed ones
     for G in enumerate_graphs(2, 3):
-        n, pairs, rows = _graph_and_reflection(G)
-        assert (n, pairs, rows) == _graph_and_reflection.__wrapped__(G)
+        for width in range(4):
+            assert _graph_and_reflection(G, width) == \
+                _graph_and_reflection.__wrapped__(G, width)
+        _, rows = _graph_and_reflection(G, 1)
         assert _rows_relation(rows) == preorder_reflection(G.presheaf())[0].rel
 
 
 def test_cached_reflection_rows_match_reflect():
-    """Each graph's LG rows, read back as pairs of v{i}, are the relation of
-    reflect on its presheaf; its index pairs are its distinguished loops
-    and its extra edges, each once."""
+    """Each graph's LG rows at width 1, read back as pairs of v{i}, are the
+    relation of reflect on its presheaf; its edge rows are its
+    distinguished loops and its extra edges."""
     for G in enumerate_graphs(3, 4):
-        n, pairs, rows = _graph_and_reflection(G)
-        assert n == G.n and len(rows) == n, G
-        assert sorted(pairs) == sorted({(i, i) for i in range(n)} | set(G.edges)), G
+        edges, rows = _graph_and_reflection(G, 1)
+        assert len(edges) == len(rows) == G.n, G
+        assert _rows_relation(edges) == \
+            {(f"v{a}", f"v{b}") for a, b in [(i, i) for i in range(G.n)] + list(G.edges)}, G
         assert _rows_relation(rows) == reflect(G.presheaf()).rel, G
+
+
+def test_product_sweep_builds_each_graph_once_per_width(monkeypatch):
+    """A cold sweep misses the cache once per distinct (graph, width) key:
+    each pair (G, H) reads G at width H.n and H at width 1.  Each value at
+    width w is the width-1 rows with each bit t moved to bit t * w."""
+    seen = []
+
+    def recorded(G, H):
+        seen.append((G, H))
+        return _product_rows_agree(G, H)
+
+    monkeypatch.setattr(graphpre, "_product_rows_agree", recorded)
+    _graph_and_reflection.cache_clear()
+    v = check_product_preservation(max_v=3, max_e=3, random_pairs=100, seed=101)
+    keys = {(G, H.n) for G, H in seen} | {(H, 1) for _, H in seen}
+    assert (v.outcome, len(seen)) == (PASS, 2446)
+    assert _graph_and_reflection.cache_info().misses == len(keys)
+    for G, width in keys:
+        edges, rows = _graph_and_reflection(G, 1)
+        assert _graph_and_reflection(G, width) == \
+            (tuple(spreads(edges, width)), tuple(spreads(rows, width))), (G, width)
 
 
 def _assert_bitset_verdict_is_labelled_verdict(G, H, PG, PH):
@@ -336,9 +373,9 @@ def test_product_sweep_raises_when_the_labelled_path_rejects_a_bitset_fail(monke
     """LG rows that lose every relation make the bitsets disagree on a pair
     that in truth agrees; the labelled path finds no difference, so the
     sweep raises rather than return FAIL."""
-    def empty_rows(G):
-        n, pairs, _ = _graph_and_reflection(G)
-        return n, pairs, (0,) * n
+    def empty_rows(G, width=1):
+        edges, _ = _graph_and_reflection(G, width)
+        return edges, (0,) * G.n
     monkeypatch.setattr(graphpre, "_graph_and_reflection", empty_rows)
     with pytest.raises(FinitoposError, match="disagree"):
         check_product_preservation(max_v=1, max_e=0)
@@ -439,9 +476,9 @@ def test_product_witness_replays_and_its_claim_is_compared(monkeypatch):
     refuted."""
     import json
 
-    def discrete_rows(G):
-        n, pairs, _ = _graph_and_reflection(G)
-        return n, pairs, tuple(1 << i for i in range(n))
+    def discrete_rows(G, width=1):
+        edges, _ = _graph_and_reflection(G, width)
+        return edges, tuple(1 << i * width for i in range(G.n))
 
     monkeypatch.setattr(graphpre, "_graph_and_reflection", discrete_rows)
     monkeypatch.setattr(graphpre, "reflect", lambda PG: Preorder(list(PG.at["V"]), ()))
