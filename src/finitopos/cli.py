@@ -13,7 +13,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import checks, dsl, fixtures, graphpre, kan, report
+from . import checks, fixtures, graphpre, kan, report
 from .budget import Budget
 from .errors import BudgetExceeded, FinitoposError, InvalidStructure, NonUnique
 from .fincat import check_adjunction
@@ -123,6 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_dsl(path: Path) -> dsl.Resolved:
+    from . import dsl  # imported here: only DSL-reading commands need it
+
     try:
         text = path.read_text()
     except OSError as e:
@@ -195,6 +197,8 @@ def _presheaf_summary(X) -> dict:
 
 
 def cmd_validate(args) -> int:
+    from . import dsl
+
     problems = 0
     checked = 0
     for path in args.files:

@@ -14,12 +14,15 @@ The SLE search tests a square on its pullback's vertices and edge pairs
 (`_pullback_vertices`, `_pullback_edges`), each distinct pullback once; the
 product sweep tests a pair on successor bitsets (`_product_rows_agree`),
 from each graph's rows built once per width (`_graph_and_reflection`); the
-exponential sweep and the Pi search test whether an edge relation built
-from the preorders alone (`_exponential_relation`, `_pi_relation`) is
-transitive, since (F P)^G and Pi_f g have at most one edge per pair of
-vertices.  The generic presheaf constructions stay the oracle: they re-test
-each instance a search reports as a FAIL, the witness is built from their
-data, and replay uses them.  The exponential sweep and the SLE, Pi and sieve
+exponential sweep and the Pi search test whether an edge relation is
+transitive (`_is_transitive`), since (F P)^G and Pi_f g have at most one
+edge per pair of vertices.  The exponential sweep builds its relation's
+successor bitsets from G's index pairs and P alone (`_exponential_rows`),
+so a sweep that passes builds no presheaf and no base category; the Pi
+search builds its relation's pairs from the preorders (`_pi_relation`).
+The generic presheaf constructions stay the oracle: they re-test each
+instance a search reports as a FAIL, the witness is built from their data,
+and replay uses them.  The exponential sweep and the SLE, Pi and sieve
 searches each hand one loop to one driver (`_search`): the loop charges the
 budget once per candidate and returns its first FAIL, and the driver counts
 the candidates and gives the verdict, INCONCLUSIVE when the budget runs out.
@@ -109,6 +112,11 @@ class RefGraph:
         act["d0.s"] = act["d0"].then(act["s"])
         act["d1.s"] = act["d1"].then(act["s"])
         return Presheaf(C, at, act)
+
+    def index_pairs(self) -> list:
+        """The distinguished loops (i, i), then the extra edges, as pairs of
+        vertex indices: what the relational tests read of a graph."""
+        return [(i, i) for i in range(self.n)] + list(self.edges)
 
     def to_json(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -395,12 +403,16 @@ def _transitive_rows(rows: list, width: int = 1) -> list:
     return rows
 
 
-def _is_transitive(n: int, pairs) -> bool:
-    """Is the relation `pairs` on 0..n-1 transitive?  Each index's successors
-    form a bitset; the relation is transitive iff no pair's target has a
-    successor its source lacks."""
-    succ = _successor_rows(n, pairs)
-    return all(not succ[j] & ~succ[i] for i, j in pairs)
+def _is_transitive(rows: list) -> bool:
+    """Is the relation with successor bitsets `rows` (index j at bit j)
+    transitive?  It is iff no index k has a successor that a predecessor
+    of k lacks."""
+    for k, rk in enumerate(rows):
+        bit = 1 << k
+        for r in rows:
+            if r & bit and rk & ~r:
+                return False
+    return True
 
 
 def _graph_map(G: Presheaf, FQ: Presheaf, w: dict) -> PresheafMap:
@@ -477,13 +489,13 @@ def _confirmed(found, what: str):
 # product preservation / exponential ideal (object level)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=None)
 def _graph_and_reflection(G: RefGraph, width: int = 1) -> tuple[tuple, tuple]:
     """(edge rows, LG rows) of G: its loops and extra edges as successor
     bitsets and their closure, with vertex t at bit t * width.  The product
     sweep reads G at width 1 and at the vertex count of each graph paired
     with it; it passes width 1 too, as (G,) is another key."""
-    edges = _successor_rows(G.n, [(i, i) for i in range(G.n)] + list(G.edges), width)
+    edges = _successor_rows(G.n, G.index_pairs(), width)
     return tuple(edges), tuple(_transitive_rows(edges[:], width))
 
 
@@ -568,17 +580,33 @@ def check_product_preservation(max_v: int = 3, max_e: int = 4,
                    stats={"pairs": tested, "graphs": len(graphs)})
 
 
-def _exponential_relation(verts, pairs, P: Preorder):
-    """(vertices, edge pairs) of (F P)^G, from G's `verts` and edge `pairs`,
-    its distinguished loops among them.  A vertex is a graph map G -> F P,
-    i.e. an edge-respecting vertex map (a dict); an edge is a map from the
-    walking edge times G, i.e. a pair (g0, g1) of them with g0(a) <= g1(b)
-    for every edge (a, b) of G, given as the index pair of g0 and g1.  F P
-    has one edge per related pair, so each edge is determined by its ends."""
-    maps = _edge_respecting_maps(verts, pairs, P.carrier, P.rel)
-    arrows, rel = list(dict.fromkeys(pairs)), P.rel
-    return maps, [(i, j) for i, g0 in enumerate(maps) for j, g1 in enumerate(maps)
-                  if all((g0[a], g1[b]) in rel for a, b in arrows)]
+def _exponential_rows(n: int, pairs, P: Preorder) -> list:
+    """The edge relation of (F P)^G as successor bitsets, from G's vertex
+    count n and its index `pairs`, its distinguished loops among them.  A
+    vertex is a graph map G -> F P, i.e. an edge-respecting vertex map
+    (a tuple of values, index j among `_edge_respecting_values`); an edge
+    is a map from the walking edge times G, i.e. a pair (g0, g1) of them
+    with g0(a) <= g1(b) for every arrow (a, b) of G.  F P has one edge per
+    related pair, so each edge is determined by its ends.  above[b][p] is
+    the bitset of the maps j with p <= g_j(b); row g0 is the AND, over G's
+    distinct arrows (a, b), of above[b][g0(a)]."""
+    rel = P.rel
+    maps = _edge_respecting_values(range(n), pairs, P.carrier, rel)
+    down = {q: [p for p in P.carrier if (p, q) in rel] for q in P.carrier}
+    above = [dict.fromkeys(P.carrier, 0) for _ in range(n)]
+    for j, g in enumerate(maps):
+        bit = 1 << j
+        for col, q in zip(above, g):
+            for p in down[q]:
+                col[p] |= bit
+    arrows, full = list(dict.fromkeys(pairs)), (1 << len(maps)) - 1
+    rows = []
+    for g in maps:
+        row = full
+        for a, b in arrows:
+            row &= above[b][g[a]]
+        rows.append(row)
+    return rows
 
 
 def _exponential_violation(PG: Presheaf, FP: Presheaf, budget: Budget | None) -> str | None:
@@ -591,22 +619,21 @@ def _exponential_violation(PG: Presheaf, FP: Presheaf, budget: Budget | None) ->
 def check_exponential_ideal_graphs(max_p: int = 3, max_v: int = 3, max_e: int = 4,
                                    budget: Budget | int | None = None) -> Verdict:
     """(embed P)^G is an embedded preorder for all preorders P and graphs G
-    within bounds.  Each instance is tested on relations: it passes iff the
-    edge relation of `_exponential_relation` is transitive.  A FAIL is
-    re-tested through `exponential_presheaf` and `is_embedded_preorder`
+    within bounds.  Each instance is tested on bitsets: it passes iff the
+    rows of `_exponential_rows` are transitive.  Each graph is read as its
+    vertex count and index pairs, built once for the sweep, so a sweep
+    that passes builds no presheaf.  A FAIL is re-tested through
+    `exponential_presheaf` and `is_embedded_preorder`
     (`_exponential_violation`, which replay runs too), whose violation the
     witness names; if the two disagree the sweep raises.  Each instance
     charges the budget once, so a budget bounds the whole sweep; the
-    confirmation gets a budget of the same size.  Each graph's vertices and
-    edge pairs are built once for the sweep."""
+    confirmation gets a budget of the same size."""
     def search(b):
-        graphs = [(G, list(PG.at["V"]), _edge_pairs(PG))
-                  for G in enumerate_graphs(max_v, max_e) for PG in [G.presheaf()]]
+        graphs = [(G, G.index_pairs()) for G in enumerate_graphs(max_v, max_e)]
         for P in enumerate_preorders(max_p):
-            for G, verts, pairs in graphs:
+            for G, pairs in graphs:
                 b.charge()
-                maps, edges = _exponential_relation(verts, pairs, P)
-                if not _is_transitive(len(maps), edges):
+                if not _is_transitive(_exponential_rows(G.n, pairs, P)):
                     why = _confirmed(
                         _exponential_violation(G.presheaf(), embed(P), b.sub("exponential")),
                         f"the exponential of P={P.carrier}, G={G}")
@@ -891,7 +918,7 @@ def find_pi_witness(max_n: int = 3, budget: Budget | int | None = None) -> Verdi
         for Y, X, f, Z, g in _pi_instances(max_n):
             b.charge()
             verts, edges = _pi_relation(Y, X, Z, f, g)
-            if _is_transitive(len(verts), edges):
+            if _is_transitive(_successor_rows(len(verts), edges)):
                 continue
             why = _confirmed(_pi_violation(embed_map(f, X, Y), embed_map(g, Z, X),
                                            b.sub("dependent_product")),

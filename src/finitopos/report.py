@@ -32,15 +32,19 @@ def elem_to_json(e):
     raise TypeError(f"unsupported element {e!r}")
 
 
+# the type each tag's value must have in replay input (a bool is not an int)
+_TAG_TYPES = {"s": str, "i": int, "t": list}
+
+
 def elem_from_json(j):
+    """The element `elem_to_json` wrote.  A value whose type does not fit its
+    tag is refused, so replay never rebuilds a coerced element."""
     tag, val = j
-    if tag == "s":
-        return val
-    if tag == "i":
-        return int(val)
-    if tag == "t":
-        return tuple(elem_from_json(x) for x in val)
-    raise ValueError(f"bad element tag {tag!r}")
+    if tag not in _TAG_TYPES:
+        raise ValueError(f"bad element tag {tag!r}")
+    if type(val) is not _TAG_TYPES[tag]:
+        raise InvalidStructure([f"element {j!r}: tag {tag!r} does not fit a {type(val).__name__}"])
+    return tuple(elem_from_json(x) for x in val) if tag == "t" else val
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ searching, `nat_by_limit` takes the limit of the target over the opposite
 of the built category of elements, `presheaf_iso` scans every natural
 transformation for a pointwise bijection, `ran_transpose` builds the
 adjunct across L* -| L_* family by family, `graphs_by_canonical_filter`
-keeps each edge multiset that is the least of its relabelings, and
-`spreads` moves a bitset's bits apart one by one.
+keeps each edge multiset that is the least of its relabelings,
+`spreads` moves a bitset's bits apart one by one, and
+`exponential_relation` tests every pair of maps against every arrow.
 """
 
 import itertools
@@ -107,3 +108,17 @@ def spreads(rows, m: int) -> list:
                 spread |= 1 << t * m
         out.append(spread)
     return out
+
+
+def exponential_relation(verts, pairs, P) -> tuple:
+    """(vertex maps, edge index pairs) of (F P)^G, from G's `verts` and edge
+    `pairs`, its distinguished loops among them.  The vertex maps are the
+    maps verts -> P (dicts, in the order of itertools.product) that send
+    each arrow to a related pair; (i, j) is an edge iff maps[i](a) <=
+    maps[j](b) for every arrow (a, b), each pair of maps scanned in full."""
+    rel = P.rel
+    maps = [w for values in itertools.product(P.carrier, repeat=len(verts))
+            for w in [dict(zip(verts, values))]
+            if all((w[a], w[b]) in rel for a, b in pairs)]
+    return maps, [(i, j) for i, g0 in enumerate(maps) for j, g1 in enumerate(maps)
+                  if all((g0[a], g1[b]) in rel for a, b in pairs)]

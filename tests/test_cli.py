@@ -348,6 +348,28 @@ def test_replay_rejects_a_graph_count_or_index_that_is_not_an_int(tmp_path, caps
     assert "PASS" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("elem", [["i", 2.7], ["i", True], ["i", "3"], ["s", 5], ["t", 5]])
+def test_replay_rejects_an_element_whose_value_does_not_fit_its_tag(tmp_path, capsys, elem):
+    """A graph-exponential witness whose P names such an element is refused,
+    not replayed on a coerced one."""
+    from finitopos import checks
+    from finitopos.errors import InvalidStructure
+    w = {"kind": "graph-exponential", "P": {"carrier": [elem], "rel": []},
+         "G": {"n": 0, "edges": []}, "violation": "x"}
+    with pytest.raises(InvalidStructure, match="does not fit"):
+        checks.reverify(w)
+    assert main(["replay", str(_report_file(tmp_path, "e.json", w))]) == EXIT_USAGE
+    assert "PASS" not in capsys.readouterr().out
+
+
+def test_importing_the_cli_leaves_the_dsl_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import sys, finitopos.cli; print('finitopos.dsl' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env={"PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("witness,field", [
     ({"kind": "graph-pi"}, "'Y'"),
     ({"kind": "graph-sle-square"}, "'square'"),

@@ -24,7 +24,8 @@ from finitopos.graphpre import (
     Preorder,
     RefGraph,
     _edge_pairs,
-    _exponential_relation,
+    _edge_respecting_values,
+    _exponential_rows,
     _fibers,
     _graph_and_reflection,
     _is_transitive,
@@ -59,7 +60,7 @@ from finitopos.graphpre import (
     vertex_maps_to_embedded,
 )
 from finitopos.verdicts import FAIL, INCONCLUSIVE, NOT_FOUND, PASS
-from oracles import graphs_by_canonical_filter, spreads
+from oracles import exponential_relation, graphs_by_canonical_filter, spreads
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,20 @@ def test_product_sweep_builds_each_graph_once_per_width(monkeypatch):
             (tuple(spreads(edges, width)), tuple(spreads(rows, width))), (G, width)
 
 
+def test_product_rows_cache_keeps_every_key_of_a_wide_sweep():
+    """The first 3 graphs of (4, 5), each against every graph from it on,
+    read 1 411 distinct (graph, width) keys; each misses the cache once,
+    however many graphs the sweep walks between two reads of it."""
+    graphs = list(enumerate_graphs(4, 5))
+    _graph_and_reflection.cache_clear()
+    keys = set()
+    for i, G in enumerate(graphs[:3]):
+        for H in graphs[i:]:
+            _product_rows_agree(G, H)
+            keys |= {(G, H.n), (H, 1)}
+    assert _graph_and_reflection.cache_info().misses == len(keys) == 1411
+
+
 def _assert_bitset_verdict_is_labelled_verdict(G, H, PG, PH):
     labelled = _labelled_product_difference(PG, PH)
     assert _product_rows_agree(G, H) == (not labelled), (G, H)
@@ -393,26 +408,43 @@ def _vertex_map(family) -> tuple:
 
 
 def test_exponential_relation_matches_presheaf_exponential():
-    """On every instance of the (3, 3, 2) sweep, the relational (F P)^G has
-    the vertex maps and the edge pairs of exponential_presheaf's, read as
-    vertex maps, and the same verdict as is_embedded_preorder."""
+    """On every instance of the (3, 3, 2) sweep, the bitset (F P)^G has the
+    vertex maps of exponential_presheaf's and, its rows read back as pairs
+    of vertex maps, its edge pairs; and _is_transitive on its rows gives
+    is_embedded_preorder's verdict."""
     tested = failures = 0
     graphs = [(G, G.presheaf()) for G in enumerate_graphs(3, 2)]
     for P in enumerate_preorders(3):
         FP = embed(P)
         for G, PG in graphs:
             tested += 1
-            maps, edges = _exponential_relation(list(PG.at["V"]), _edge_pairs(PG), P)
+            pairs = G.index_pairs()
+            maps = _edge_respecting_values(range(G.n), pairs, P.carrier, P.rel)
+            rows = _exponential_rows(G.n, pairs, P)
+            edges = [(i, j) for i, r in enumerate(rows) for j in range(len(maps)) if r >> j & 1]
             E = exponential_presheaf(PG, FP)
-            assert (len(maps), len(edges)) == (len(E.at["V"]), len(E.at["E"])), (P, G)
-            keys = [tuple(sorted(w.items())) for w in maps]
+            assert (len(rows), len(edges)) == (len(E.at["V"]), len(E.at["E"])), (P, G)
+            keys = [tuple((f"v{b}", p) for b, p in enumerate(g)) for g in maps]
             assert keys == sorted(_vertex_map(e) for e in E.at["V"]), (P, G)
             assert sorted((keys[i], keys[j]) for i, j in edges) == \
                 sorted((_vertex_map(a), _vertex_map(b)) for a, b in _edge_pairs(E)), (P, G)
-            ok = _is_transitive(len(maps), edges)
+            ok = _is_transitive(rows)
             assert ok == is_embedded_preorder(E)[0], (P, G)
             failures += not ok
     assert (tested, failures) == (364, 0)
+
+
+def test_exponential_rows_match_the_pair_scan():
+    """On every instance of the (3, 3, 3) sweep, the bitset rows are the
+    successor rows of the relation that scans every pair of maps."""
+    tested = 0
+    for P in enumerate_preorders(3):
+        for G in enumerate_graphs(3, 3):
+            tested += 1
+            pairs = G.index_pairs()
+            maps, edges = exponential_relation(range(G.n), pairs, P)
+            assert _exponential_rows(G.n, pairs, P) == _successor_rows(len(maps), edges), (P, G)
+    assert tested == 952
 
 
 def test_is_transitive_matches_a_scan_of_all_pairs():
@@ -422,13 +454,13 @@ def test_is_transitive_matches_a_scan_of_all_pairs():
             pairs = [p for k, p in enumerate(full) if bits >> k & 1]
             rel = set(pairs)
             scan = all((a, c) in rel for a, b in rel for b2, c in rel if b2 == b)
-            assert _is_transitive(n, pairs) == scan, pairs
+            assert _is_transitive(_successor_rows(n, pairs)) == scan, pairs
 
 
 def test_exponential_sweep_raises_when_the_oracle_rejects_a_relational_fail(monkeypatch):
     """A relational test that fails every instance is not confirmed by the
     presheaf exponential, so the sweep raises rather than return FAIL."""
-    monkeypatch.setattr(graphpre, "_is_transitive", lambda n, pairs: False)
+    monkeypatch.setattr(graphpre, "_is_transitive", lambda rows: False)
     with pytest.raises(FinitoposError, match="disagree"):
         check_exponential_ideal_graphs(max_p=1, max_v=1, max_e=0)
 
@@ -436,7 +468,7 @@ def test_exponential_sweep_raises_when_the_oracle_rejects_a_relational_fail(monk
 def test_exponential_sweep_fail_replays(monkeypatch):
     """With both paths forced to fail, the sweep's FAIL names the first
     instance and the presheaf path's violation, and its witness replays."""
-    monkeypatch.setattr(graphpre, "_is_transitive", lambda n, pairs: False)
+    monkeypatch.setattr(graphpre, "_is_transitive", lambda rows: False)
     monkeypatch.setattr(graphpre, "is_embedded_preorder", lambda X: (False, "forced"))
     v = check_exponential_ideal_graphs(max_p=1, max_v=1, max_e=0)
     assert (v.outcome, v.stats) == (FAIL, {"tested": 1})
@@ -799,7 +831,7 @@ def test_pi_relation_matches_presheaf_dependent_product():
             verts, edges = _pi_relation(Y, X, Z, f, g)
             W = dependent_product(embed_map(f, X, Y), embed_map(g, Z, X)).source
             assert (len(verts), len(edges)) == (len(W.at["V"]), len(W.at["E"])), (Y, X, Z, f, g)
-            ok = _is_transitive(len(verts), edges)
+            ok = _is_transitive(_successor_rows(len(verts), edges))
             assert ok == is_embedded_preorder(W)[0], (Y, X, Z, f, g)
             failed += not ok
         assert (tested, failed) == (count, failures)
@@ -818,7 +850,7 @@ def test_pi_along_an_identity_is_the_graph_of_z():
 
 
 def test_pi_search_raises_when_the_oracle_rejects_a_relational_fail(monkeypatch):
-    monkeypatch.setattr(graphpre, "_is_transitive", lambda n, pairs: False)
+    monkeypatch.setattr(graphpre, "_is_transitive", lambda rows: False)
     with pytest.raises(FinitoposError, match="disagree"):
         graphpre.find_pi_witness(max_n=1)
 
